@@ -5,10 +5,15 @@ makes the tooth width 1/(2q) exactly s cells and the tooth walls fall on
 grid lines.  The tooth height is snapped to the nearest grid line.  The
 5-point stencil gives a symmetric positive definite operator on the interior
 nodes; eigenvalues at or below a threshold lam are counted by factoring
-A - lam*I as LDL^T in band form and counting negative pivots (Sylvester's
-law of inertia).  A dense LAPACK eigensolver (numpy's eigvalsh) and the
-closed-form rectangle FD spectrum serve as small-scale oracles; neither
-shares code with the band LDL^T route they check.
+A - lam*I with SuperLU in symmetric mode (a fill-reducing minimum-degree
+ordering of A + A^T, diagonal pivots only), which is an LDL^T factorization
+whose negative pivots count the eigenvalues below lam (Sylvester's law of
+inertia).  A threshold exactly on an eigenvalue makes that factorization
+break down; the count is then taken at the edges of a narrow window around
+lam and the few eigenvalues inside it are resolved by ARPACK.  A dense
+LAPACK eigensolver (numpy's eigvalsh) and the closed-form rectangle FD
+spectrum serve as small-scale oracles; neither shares code with the route
+they check.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, splu
 
-from ._kernels import band_ldl_negcount
 from .analytic import DomainSpec
 from .lattice import TIE_TOL, SpectralCount, tie_threshold
 
@@ -29,16 +34,17 @@ MAX_QS = 2048
 # Dense oracle size cap.
 DENSE_MAX_N = 400
 
-# Pivot acceptance floor, relative to ||A||_inf, and the relative jitter
-# applied to lambda on retry.  Jitter is positive so eigenvalues exactly at
-# lambda stay counted (the "<=" convention).
+# Pivot acceptance floor, relative to ||A||_inf.  When the factorization at
+# lambda breaks down, counts are taken at lambda*(1 -/+ step*JITTER_REL):
+# JITTER_REL is the relative half-width of the tie window, widened up to
+# MAX_JITTER_STEPS times while a window edge still breaks down.
 PIVOT_FLOOR_REL = 1e-10
-JITTER_REL = 1e-9
+JITTER_REL = 1e-6
 MAX_JITTER_STEPS = 3
 
 
 class FactorizationError(RuntimeError):
-    """LDL^T factorization hit a near-zero pivot even after jitter retries."""
+    """Inertia counting failed: every tie window broke down, or ARPACK did."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +83,11 @@ class DiscreteOperator:
     """Symmetric 5-point stencil operator restricted to interior nodes.
 
     matrix is CSR with diagonal 4/delta^2 and -1/delta^2 between
-    grid-adjacent interior nodes; bandwidth is the largest |row - col| over
-    nonzeros under the grid's row-major node ordering.
+    grid-adjacent interior nodes.
     """
 
     matrix: sp.csr_matrix
     n: int
-    bandwidth: int
     delta: float
     norm_inf: float
 
@@ -143,11 +147,8 @@ def _assemble_from_index(node_index: np.ndarray, delta: float) -> DiscreteOperat
     matrix = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-    coo = matrix.tocoo()
-    bandwidth = int(np.max(coo.row - coo.col)) if coo.nnz else 0
     norm_inf = float(np.max(np.abs(matrix).sum(axis=1)))
-    return DiscreteOperator(matrix=matrix, n=n, bandwidth=bandwidth,
-                            delta=delta, norm_inf=norm_inf)
+    return DiscreteOperator(matrix=matrix, n=n, delta=delta, norm_inf=norm_inf)
 
 
 def assemble_dirichlet_operator(grid: CombGrid) -> DiscreteOperator:
@@ -164,7 +165,7 @@ def build_rect_operator(m_cols: int, k_rows: int, delta: float) -> DiscreteOpera
     """5-point Dirichlet Laplacian on an m_cols x k_rows interior rectangle grid.
 
     The rectangle has sides (m_cols+1)*delta by (k_rows+1)*delta; nodes are
-    ordered row-major by y then x, so the bandwidth equals m_cols.
+    ordered row-major by y then x.
     """
     for name, v in (("m_cols", m_cols), ("k_rows", k_rows)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -184,41 +185,83 @@ def build_rect_operator(m_cols: int, k_rows: int, delta: float) -> DiscreteOpera
 # inertia counting
 # ---------------------------------------------------------------------------
 
-def _lower_band_parts(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    coo = op.matrix.tocoo()
-    keep = coo.row >= coo.col
-    return coo.row[keep], coo.col[keep], coo.data[keep]
+def _negative_pivots(a: sp.csc_matrix, pivot_floor: float) -> int | None:
+    """Negative pivots of a symmetric-mode LU of a, or None on breakdown.
+
+    With only diagonal pivots taken (perm_r == perm_c), P a P^T = L U with
+    U = D L^T, so diag(U) is the D of an LDL^T factorization.  An
+    off-diagonal pivot, a pivot below pivot_floor in magnitude, or an
+    exactly singular factor is a breakdown.
+    """
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:
+        return None
+    pivots = lu.U.diagonal()
+    if (not np.array_equal(lu.perm_r, lu.perm_c)
+            or np.min(np.abs(pivots)) < pivot_floor):
+        return None
+    return int(np.count_nonzero(pivots < 0.0))
+
+
+def _window_eigs(op: DiscreteOperator, sigma: float, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of op above sigma, by ARPACK shift-invert."""
+    try:
+        if k < op.n:
+            return eigsh(op.matrix, k, sigma=sigma, which="LA",
+                         return_eigenvectors=False)
+        # ARPACK needs k < n; the window then holds the whole spectrum.
+        return np.linalg.eigvalsh(op.matrix.toarray())
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise FactorizationError(
+            f"resolving {k} eigenvalues above {sigma}: {exc}") from exc
 
 
 def inertia_count(op: DiscreteOperator, lam: float) -> SpectralCount:
     """Count eigenvalues of op at or below lam by negative-pivot counting.
 
-    Factors op - lam*I as LDL^T in band form; by Sylvester's law the number
-    of negative pivots equals the number of eigenvalues below the shift.
-    The shift is jittered upward by JITTER_REL relative steps when a pivot
-    magnitude falls below PIVOT_FLOOR_REL * ||op||_inf, so eigenvalues
-    exactly at lam are counted; after MAX_JITTER_STEPS failed retries a
-    FactorizationError is raised.  The tie_tol on the result records the
-    jitter that was actually applied.
+    Factors op - lam*I with symmetric-mode SuperLU; by Sylvester's law the
+    number of negative pivots equals the number of eigenvalues below lam.
+    A breakdown (see _negative_pivots) means an eigenvalue sits at lam.  The
+    counts lo and hi are then taken at lam*(1 -/+ JITTER_REL*step), widening
+    the window while an edge breaks down and raising FactorizationError
+    after MAX_JITTER_STEPS widenings.  The hi - lo eigenvalues inside the
+    window are resolved by ARPACK and counted against tie_threshold(lam),
+    the "<=" convention of the lattice and closed-form counts.  tie_tol on
+    the result is TIE_TOL when the window was used and 0.0 otherwise.
     """
     if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     lam = float(lam)
     pivot_floor = PIVOT_FLOOR_REL * op.norm_inf
-    rows, cols, data = _lower_band_parts(op)
-    fail_at = -1
-    for step in range(MAX_JITTER_STEPS + 1):
-        shift = lam * (1.0 + step * JITTER_REL)
-        band = np.zeros((op.n, op.bandwidth + 1))
-        band[cols, rows - cols] = data
-        band[:, 0] -= shift
-        neg, fail_at = band_ldl_negcount(band, pivot_floor)
-        del band
-        if neg >= 0:
-            return SpectralCount(lam, neg, "fd_inertia", step * JITTER_REL)
+    # A is symmetric, so its CSR arrays are also its CSC arrays, and a shift
+    # only touches the stored diagonal.
+    m = op.matrix
+    diag = np.flatnonzero(m.indices == np.repeat(np.arange(op.n), np.diff(m.indptr)))
+    if diag.size != op.n:
+        raise ValueError("operator matrix must store its whole diagonal")
+
+    def negcount(shift: float) -> int | None:
+        data = m.data.copy()
+        data[diag] -= shift
+        return _negative_pivots(
+            sp.csc_matrix((data, m.indices, m.indptr), shape=m.shape), pivot_floor)
+
+    count = negcount(lam)
+    if count is not None:
+        return SpectralCount(lam, count, "fd_inertia", 0.0)
+    for step in range(1, MAX_JITTER_STEPS + 1):
+        half = abs(lam) * step * JITTER_REL
+        lo, hi = negcount(lam - half), negcount(lam + half)
+        if lo is None or hi is None:
+            continue
+        window = _window_eigs(op, lam - half, hi - lo) if hi > lo else np.empty(0)
+        count = lo + int(np.count_nonzero(window <= tie_threshold(lam)))
+        return SpectralCount(lam, count, "fd_inertia", TIE_TOL)
     raise FactorizationError(
-        f"pivot magnitude below {pivot_floor:.3e} at index {fail_at} for "
-        f"lambda={lam} after {MAX_JITTER_STEPS} jitter retries")
+        f"pivot breakdown (floor {pivot_floor:.3e}) at lambda={lam} and at "
+        f"every tie window up to {MAX_JITTER_STEPS * JITTER_REL:g} relative")
 
 
 # ---------------------------------------------------------------------------

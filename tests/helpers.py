@@ -81,30 +81,6 @@ def random_small_operator(rng: np.random.Generator):
                     f"comb(q={q},s={s},h={h:.4f})")
 
 
-def gap_midpoints(eigs: np.ndarray, rng: np.random.Generator,
-                  count: int) -> list[tuple[float, int]]:
-    """(threshold, expected count) pairs placed in well-separated spectral gaps.
-
-    Degenerate clusters (q-fold tooth modes) are resolved by the dense oracle
-    only to rounding noise, so thresholds require a relative gap of 1e-7;
-    draws also include below-minimum and above-maximum thresholds.
-    """
-    n = len(eigs)
-    scale = max(1.0, float(abs(eigs[-1])))
-    picks: list[tuple[float, int]] = []
-    attempts = 0
-    while len(picks) < count and attempts < 60 * count:
-        attempts += 1
-        i = int(rng.integers(-1, n))
-        if i < 0:
-            picks.append((float(eigs[0] - 1.0), 0))
-        elif i == n - 1:
-            picks.append((float(eigs[-1] + 1.0), n))
-        elif eigs[i + 1] - eigs[i] > 1e-7 * scale:
-            picks.append((float(0.5 * (eigs[i] + eigs[i + 1])), i + 1))
-    return picks
-
-
 def exact_quadratic_fit(qs: list[int], counts: list[int]) -> tuple[Fraction, Fraction]:
     """Solve the normal equations of N = c*q^2 + beta*q in exact rationals."""
     s4 = sum(Fraction(q) ** 4 for q in qs)

@@ -20,10 +20,11 @@ from combweyl import (DomainSpec, ExperimentConfig, build_rect_operator,
                       theorem_constant, tooth_mode_eigenvalue, weyl_constant)
 from combweyl.analytic import FOUR_PI_SQ, mode_cutoff
 from combweyl.asymptotics import defect_series
+from combweyl.cli import _gap_midpoints as gap_midpoints
 from combweyl.dtn import DirichletPoleError
 from combweyl.fdlap import dense_eig_oracle, fd_rect_count_closed_form
 from combweyl.lattice import UNIT_SQUARE, RectSpec
-from helpers import gap_midpoints, random_small_operator
+from helpers import random_small_operator
 
 
 def _report(criterion: int, detail: str) -> None:

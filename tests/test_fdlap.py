@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from combweyl import DomainSpec
-from combweyl._kernels import (HAVE_NUMBA, _band_ldl_negcount_py,
-                               _jacobi_sweeps_py, band_ldl_negcount,
-                               jacobi_sweeps)
+from combweyl import DomainSpec, fdlap
+from combweyl.cli import _gap_midpoints as gap_midpoints
 from combweyl.fdlap import (DENSE_MAX_N, DiscreteOperator, FactorizationError,
                             MAX_QS, assemble_dirichlet_operator,
                             build_comb_grid, build_rect_operator, dense_count,
                             dense_eig_oracle, fd_rect_count_closed_form,
                             inertia_count)
-from helpers import comb_membership_nodes, gap_midpoints, random_small_operator
+from helpers import comb_membership_nodes, random_small_operator
 
 
 class TestCombGrid:
@@ -103,7 +102,6 @@ class TestOperator:
         assert np.all(np.diag(dense) == 64.0)
         off = dense[~np.eye(13, dtype=bool)]
         assert set(np.unique(off)) <= {0.0, -16.0}
-        assert op.bandwidth == 3
         assert op.norm_inf == 128.0
 
     def test_symmetry(self):
@@ -116,7 +114,6 @@ class TestOperator:
         op = assemble_dirichlet_operator(grid)
         assert op.n == 1
         assert op.matrix.toarray().tolist() == [[16.0]]
-        assert op.bandwidth == 0
 
     def test_row_sums_reflect_boundary_deficit(self):
         rng = np.random.default_rng(33)
@@ -178,11 +175,55 @@ class TestInertia:
         assert above.count == 1
         assert above.tie_tol == 0.0
 
+    @staticmethod
+    def _rect_eig(m_cols, k_rows, delta, i, j):
+        """Closed-form FD eigenvalue (i, j) of an m_cols x k_rows rectangle."""
+        sx = math.sin(i * math.pi / (2.0 * (m_cols + 1))) ** 2
+        sy = math.sin(j * math.pi / (2.0 * (k_rows + 1))) ** 2
+        return (4.0 / (delta * delta)) * (sx + sy)
+
+    def test_exact_double_eigenvalue(self):
+        # The (1,3)/(3,1) pair of the 6x6 grid: a shift 1e-9 above it passes
+        # the pivot floor, yet unpivoted elimination there gives one negative
+        # pivot too few.
+        lam = self._rect_eig(6, 6, 0.497301, 1, 3)
+        op = build_rect_operator(6, 6, 0.497301)
+        hit = inertia_count(op, lam)
+        assert hit.count == fd_rect_count_closed_form(6, 6, 0.497301, lam).count
+        assert hit.count == 6
+        assert hit.tie_tol > 0.0
+
+    def test_exact_tie_battery(self):
+        # Closed-form eigenvalues as thresholds: double ones (i != j) on
+        # square grids, single ones on rectangles.
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            m = int(rng.integers(2, 13))
+            square = rng.random() < 0.5
+            k = m if square else int(rng.integers(2, 13))
+            delta = float(rng.uniform(0.04, 0.6))
+            op = build_rect_operator(m, k, delta)
+            for _ in range(5):
+                i, j = int(rng.integers(1, m + 1)), int(rng.integers(1, k + 1))
+                if square and i == j:
+                    j = j % m + 1
+                lam = self._rect_eig(m, k, delta, i, j)
+                want = fd_rect_count_closed_form(m, k, delta, lam).count
+                assert inertia_count(op, lam).count == want, (m, k, delta, i, j)
+
+    def test_arpack_failure_is_factorization_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(fdlap, "eigsh", no_convergence)
+        lam = self._rect_eig(6, 6, 0.497301, 1, 3)
+        with pytest.raises(FactorizationError):
+            inertia_count(build_rect_operator(6, 6, 0.497301), lam)
+
     def test_breakdown_after_retries(self):
-        # An absurd norm_inf makes the pivot floor swallow every jitter.
+        # An absurd norm_inf makes the pivot floor reject every tie window.
         matrix = sp.csr_matrix(np.array([[16.0]]))
-        corrupt = DiscreteOperator(matrix=matrix, n=1, bandwidth=0,
-                                   delta=0.5, norm_inf=1e12)
+        corrupt = DiscreteOperator(matrix=matrix, n=1, delta=0.5, norm_inf=1e12)
         with pytest.raises(FactorizationError):
             inertia_count(corrupt, 16.0)
 
@@ -190,6 +231,14 @@ class TestInertia:
         op = build_rect_operator(2, 2, 0.25)
         with pytest.raises(ValueError):
             inertia_count(op, math.nan)
+
+    def test_unstored_diagonal_rejected(self):
+        # Shifts are applied at the stored diagonal; a CSR built from a dense
+        # array drops zero diagonal entries.
+        matrix = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        op = DiscreteOperator(matrix=matrix, n=2, delta=1.0, norm_inf=1.0)
+        with pytest.raises(ValueError):
+            inertia_count(op, 0.5)
 
     def test_agrees_with_dense_oracle(self):
         rng = np.random.default_rng(35)
@@ -251,93 +300,6 @@ class TestDenseOracle:
         assert op.n > DENSE_MAX_N
         with pytest.raises(ValueError):
             dense_eig_oracle(op)
-
-
-class TestKernels:
-    def _random_banded(self, rng, n, p):
-        dense = rng.normal(size=(n, n))
-        dense = dense + dense.T
-        mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= p
-        dense *= mask
-        band = np.zeros((n, p + 1))
-        for r in range(p + 1):
-            band[: n - r, r] = np.diagonal(dense, -r)
-        return dense, band
-
-    def test_python_fallback_counts_match_eigvalsh(self):
-        rng = np.random.default_rng(36)
-        for _ in range(20):
-            n = int(rng.integers(2, 40))
-            p = int(rng.integers(1, min(n, 6)))
-            dense, band = self._random_banded(rng, n, p)
-            neg, fail = _band_ldl_negcount_py(band, 1e-13)
-            if neg < 0:
-                continue  # breakdown draw; covered separately
-            assert fail == -1
-            assert neg == int(np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0))
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_compiled_matches_python_fallback(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            n = int(rng.integers(2, 40))
-            p = int(rng.integers(1, min(n, 6)))
-            _, band = self._random_banded(rng, n, p)
-            got = band_ldl_negcount(band.copy(), 1e-13)
-            want = _band_ldl_negcount_py(band.copy(), 1e-13)
-            assert got == want
-
-    def test_breakdown_signals_index(self):
-        band = np.array([[0.0]])
-        assert _band_ldl_negcount_py(band.copy(), 1e-10) == (-1, 0)
-        assert band_ldl_negcount(band.copy(), 1e-10) == (-1, 0)
-
-    def test_band_validation(self):
-        with pytest.raises(ValueError):
-            band_ldl_negcount(np.zeros((2, 2), dtype=np.float32), 1e-10)
-        with pytest.raises(ValueError):
-            band_ldl_negcount(np.zeros(4), 1e-10)
-
-    def test_jacobi_python_fallback(self):
-        # Random symmetric matrices plus a 5-point operator of large norm,
-        # where an off-norm taken as ||A||_F^2 - sum(diag^2) cancels far
-        # above the tolerance (a stall) or clamps to 0 (false convergence).
-        matrices = []
-        for seed in (38, 39, 40, 41, 42, 43):
-            rng = np.random.default_rng(seed)
-            dense = rng.normal(size=(12, 12))
-            matrices.append((seed, dense + dense.T))
-        matrices.append(("rect(6,6,0.05)",
-                         build_rect_operator(6, 6, 0.05).matrix.toarray()))
-        for label, dense in matrices:
-            tol = 1e-12 * np.linalg.norm(dense)
-            work = dense.copy()
-            off = _jacobi_sweeps_py(work, tol, 60)
-            upper = np.triu(work, 1)
-            assert math.isclose(off, math.sqrt(2.0 * np.sum(upper * upper)),
-                                rel_tol=1e-12), label
-            assert off <= tol, label
-            np.testing.assert_allclose(np.sort(np.diag(work)),
-                                       np.linalg.eigvalsh(dense), atol=1e-9,
-                                       err_msg=str(label))
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jacobi_compiled_matches_fallback(self):
-        rng = np.random.default_rng(39)
-        dense = rng.normal(size=(15, 15))
-        dense = dense + dense.T
-        tol = 1e-12 * np.linalg.norm(dense)
-        a1, a2 = dense.copy(), dense.copy()
-        jacobi_sweeps(a1, tol, 60)
-        _jacobi_sweeps_py(a2, tol, 60)
-        np.testing.assert_allclose(np.sort(np.diag(a1)), np.sort(np.diag(a2)),
-                                   atol=1e-10)
-
-    def test_jacobi_validation(self):
-        with pytest.raises(ValueError):
-            jacobi_sweeps(np.zeros((2, 3)), 1e-12, 10)
-        with pytest.raises(ValueError):
-            jacobi_sweeps(np.zeros((2, 2), dtype=np.float32), 1e-12, 10)
 
 
 class TestConvergence:
