@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -178,22 +176,24 @@ def _segment_integral(a: float, m: int) -> float:
 def _periodic_part(a: float, m: int) -> float:
     """Integral of ({x} - 1/2) * f'(x) over [0, m] for f(x) = sqrt(1 - x^2/a^2).
 
-    Integrated one unit interval [l-1, l] at a time.  On each interval the
-    substitution x = a*sin(theta) turns the integrand into
-    -(a*sin(theta) - (l-1) - 1/2) * sin(theta), which stays smooth even when
-    the interval's right end hits x = a, where f' itself blows up.
+    Evaluated in closed form.  On the unit interval [l-1, l] the substitution x = a*sin(theta) turns the
+    integrand into -(a*sin(theta) - shift)*sin(theta) with shift = l - 1/2,
+    which stays smooth even where f' blows up at x = a.  Its antiderivative is
+
+        F(theta) = -a*(theta/2 - sin(2*theta)/4) - shift*cos(theta),
+
+    and the sum of F(theta_l) - F(theta_{l-1}) over l = 1..m, with
+    sin(theta_l) = l/a, telescopes to
+
+        sum_{l=1}^{m-1} f(l) + (1 - m)*f(m)/2 + 1/2 - (a/2)*asin(m/a),
+
+    which is accumulated with math.fsum.
     """
-    total = 0.0
-    for l in range(1, m + 1):
-        th_lo = math.asin((l - 1) / a)
-        th_hi = math.asin(min(l / a, 1.0))
-
-        def integrand(theta: float, shift: float = (l - 1) + 0.5) -> float:
-            return -(a * math.sin(theta) - shift) * math.sin(theta)
-
-        val, _ = quad(integrand, th_lo, th_hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-        total += val
-    return total
+    t = min(m / a, 1.0)
+    terms = [math.sqrt(1.0 - l * l / (a * a)) for l in range(1, m)]
+    terms += [0.5 * (1 - m) * math.sqrt(max(0.0, 1.0 - t * t)), 0.5,
+              -0.5 * a * math.asin(t)]
+    return math.fsum(terms)
 
 
 def em_decomposition(mu: float, h: float) -> ConstantReport:
@@ -205,7 +205,7 @@ def em_decomposition(mu: float, h: float) -> ConstantReport:
 
         endpoint = f(m)/2
         tail     = integral of f from m to a      (closed-form circular segment)
-        periodic = integral of ({x} - 1/2) f'(x) over [0, m]   (quadrature)
+        periodic = integral of ({x} - 1/2) f'(x) over [0, m]   (closed form)
 
     and delta = (h/pi)*sqrt(mu) * (endpoint - tail + periodic).  Requires
     mu >= 4*pi^2 so that at least one mode propagates; below that threshold

@@ -47,29 +47,20 @@ class DtnMode:
         return self.rho is None
 
 
-def _check_mode_args(k: int, q: int, h: float, lam: float) -> None:
-    for name, v in (("k", k), ("q", q)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+def _check_h_lam(h: float, lam: float) -> None:
     if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
         raise ValueError(f"h must be finite and > 0, got {h!r}")
     if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
         raise ValueError(f"lambda must be finite, got {lam!r}")
 
 
-def tooth_mode_eigenvalue(k: int, q: int, h: float, lam: float) -> float:
-    """Dirichlet-to-Neumann value rho = -v'(0)/v(0) for transverse mode k.
+def _check_pos_int(name: str, v: int) -> None:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {v!r}")
 
-    With s = lam - 4*pi^2*k^2*q^2 the solution vanishing at h gives
 
-        s > 0:  rho = omega * cot(omega*h),   omega = sqrt(s)
-        s = 0:  rho = 1/h
-        s < 0:  rho = kappa * coth(kappa*h),  kappa = sqrt(-s)
-
-    Raises DirichletPoleError when sin(omega*h) vanishes to POLE_TOL
-    (relative to max(1, omega*h)), i.e. at a pole of rho.
-    """
-    _check_mode_args(k, q, h, lam)
+def _rho(k: int, q: int, h: float, lam: float) -> float:
+    """rho for transverse mode k at lam; the caller has checked the arguments."""
     s = lam - FOUR_PI_SQ * (k * q) ** 2
     if s > 0.0:
         omega = math.sqrt(s)
@@ -87,6 +78,24 @@ def tooth_mode_eigenvalue(k: int, q: int, h: float, lam: float) -> float:
     return 1.0 / h
 
 
+def tooth_mode_eigenvalue(k: int, q: int, h: float, lam: float) -> float:
+    """Dirichlet-to-Neumann value rho = -v'(0)/v(0) for transverse mode k.
+
+    With s = lam - 4*pi^2*k^2*q^2 the solution vanishing at h gives
+
+        s > 0:  rho = omega * cot(omega*h),   omega = sqrt(s)
+        s = 0:  rho = 1/h
+        s < 0:  rho = kappa * coth(kappa*h),  kappa = sqrt(-s)
+
+    Raises DirichletPoleError when sin(omega*h) vanishes to POLE_TOL
+    (relative to max(1, omega*h)), i.e. at a pole of rho.
+    """
+    _check_pos_int("k", k)
+    _check_pos_int("q", q)
+    _check_h_lam(h, lam)
+    return _rho(k, q, h, lam)
+
+
 def tooth_mode(k: int, q: int, h: float, lam: float) -> DtnMode:
     """Like tooth_mode_eigenvalue but returns a DtnMode, mapping poles to rho=None."""
     try:
@@ -99,21 +108,16 @@ def tooth_mode(k: int, q: int, h: float, lam: float) -> DtnMode:
 def count_nonpositive_tooth(q: int, h: float, lam: float) -> int:
     """Number of propagating modes k <= floor(sqrt(lam/q^2)/(2*pi)) with rho <= 0.
 
-    Modes above the cutoff have rho > 0 and never contribute.  A pole inside
+    Modes above the cutoff have rho > 0 and never contribute.  The arguments
+    are checked once, h included even when no mode propagates; a pole inside
     the range propagates as DirichletPoleError.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise ValueError(f"q must be an int >= 1, got {q!r}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
+    _check_pos_int("q", q)
+    _check_h_lam(h, lam)
     if lam <= 0.0:
         return 0
     cutoff = mode_cutoff(lam / (q * q))
-    count = 0
-    for k in range(1, cutoff + 1):
-        if tooth_mode_eigenvalue(k, q, h, lam) <= 0.0:
-            count += 1
-    return count
+    return sum(1 for k in range(1, cutoff + 1) if _rho(k, q, h, lam) <= 0.0)
 
 
 def square_mixed_gap(lam: float) -> int:

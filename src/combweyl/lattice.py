@@ -4,6 +4,11 @@ Dirichlet eigenvalues of an a x b rectangle are pi^2*(m^2/a^2 + n^2/b^2)
 with m, n >= 1; Neumann eigenvalues take m, n >= 0.  Counting those at or
 below a threshold lambda is a lattice-point count inside an ellipse, done
 here in O(sqrt(lambda)*a) time with a closed-form inner count per column.
+The column counts are vectorised with numpy: all columns up to just past
+the cut are evaluated at once, with the float expressions of a scalar column
+loop in the same order, so every count is bit-for-bit the loop's.  The
+enumeration oracle enumerate_rect_eigs is not vectorised; it stays a plain
+double loop, independent of the column counts it cross-checks.
 
 Thresholds are fuzzed multiplicatively by tie_tol so that eigenvalues
 landing exactly on lambda (up to rounding) are counted as inside.
@@ -14,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 from .analytic import DomainSpec
 
@@ -73,6 +80,19 @@ def tie_threshold(lam: float) -> float:
 # closed-form column counts
 # ---------------------------------------------------------------------------
 
+def _columns(start: int, width: float, lam: float) -> np.ndarray:
+    """Column indices start..floor(width*sqrt(lam)/pi) + 2 as floats.
+
+    The last index lies past the cut pi^2*m^2/width^2 = lam, so the array
+    holds every column a scalar loop would accept.  The margin is 2, not 1,
+    because at an exact tie the floor can land one short of the column that
+    sits on the cut.  Float indices make each product with m bitwise equal
+    to the loop's float-times-int arithmetic.
+    """
+    top = math.floor(width * math.sqrt(lam) / math.pi) + 2
+    return np.arange(start, top + 1, dtype=np.float64)
+
+
 def count_rect_dirichlet(rect: RectSpec, lam: float) -> SpectralCount:
     """Count Dirichlet eigenvalues of rect at or below lam.
 
@@ -86,14 +106,10 @@ def count_rect_dirichlet(rect: RectSpec, lam: float) -> SpectralCount:
     pi_sq = math.pi ** 2
     a_sq = rect.a * rect.a
     b_over_pi = rect.b / math.pi
-    count = 0
-    m = 1
-    while True:
-        rem = lam_eff - pi_sq * m * m / a_sq
-        if rem <= 0.0:
-            break
-        count += int(b_over_pi * math.sqrt(rem))
-        m += 1
+    m = _columns(1, rect.a, lam_eff)
+    rem = lam_eff - pi_sq * m * m / a_sq
+    rem = rem[rem > 0.0]
+    count = int((b_over_pi * np.sqrt(rem)).astype(np.int64).sum())
     return SpectralCount(lam, count, "lattice", TIE_TOL)
 
 
@@ -106,15 +122,11 @@ def count_rect_neumann(rect: RectSpec, lam: float) -> SpectralCount:
     pi_sq = math.pi ** 2
     a_sq = rect.a * rect.a
     b_over_pi = rect.b / math.pi
-    count = 0
-    m = 0
-    while True:
-        rem = lam_eff - pi_sq * m * m / a_sq
-        if rem < 0.0:
-            break
-        # n = 0 always qualifies once m does; positive n add floor(b*sqrt(rem)/pi).
-        count += 1 + int(b_over_pi * math.sqrt(rem))
-        m += 1
+    m = _columns(0, rect.a, lam_eff)
+    rem = lam_eff - pi_sq * m * m / a_sq
+    rem = rem[rem >= 0.0]
+    # n = 0 always qualifies once m does; positive n add floor(b*sqrt(rem)/pi).
+    count = rem.size + int((b_over_pi * np.sqrt(rem)).astype(np.int64).sum())
     return SpectralCount(lam, count, "lattice", TIE_TOL)
 
 
@@ -131,14 +143,10 @@ def count_tooth(spec: DomainSpec, lam: float) -> SpectralCount:
         return SpectralCount(lam, 0, "lattice", FLOOR_GUARD)
     mu = lam / (spec.q * spec.q)
     scale = spec.q * spec.h / math.pi
-    count = 0
-    l = 1
-    while True:
-        rem = mu - 4.0 * math.pi ** 2 * l * l
-        if rem <= 0.0:
-            break
-        count += int(scale * math.sqrt(rem) * (1.0 + FLOOR_GUARD))
-        l += 1
+    l = _columns(1, 1.0 / (2.0 * spec.q), lam)
+    rem = mu - 4.0 * math.pi ** 2 * l * l
+    rem = rem[rem > 0.0]
+    count = int((scale * np.sqrt(rem) * (1.0 + FLOOR_GUARD)).astype(np.int64).sum())
     return SpectralCount(lam, count, "lattice", FLOOR_GUARD)
 
 

@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities by routes independent of the library
 implementation (RK4 shooting, geometric membership scans, exact rational
-least squares), so agreement is meaningful evidence rather than tautology.
+least squares, scalar column loops), so agreement is meaningful evidence
+rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from combweyl import (DomainSpec, assemble_dirichlet_operator, build_comb_grid,
                       build_rect_operator)
+from combweyl.lattice import FLOOR_GUARD, tie_threshold
 
 
 def rho_shooting(k: int, q: int, h: float, lam: float, steps: int = 20000) -> float:
@@ -92,3 +94,60 @@ def exact_quadratic_fit(qs: list[int], counts: list[int]) -> tuple[Fraction, Fra
     c = (b1 * s2 - s3 * b2) / det
     beta = (s4 * b2 - s3 * b1) / det
     return c, beta
+
+
+def loop_rect_dirichlet(a: float, b: float, lam: float) -> int:
+    """Scalar column loop for the Dirichlet count of an a x b rectangle.
+
+    The reference for lattice.count_rect_dirichlet: the same fuzzed threshold
+    and float expressions, one column at a time until the first m whose
+    remainder is not positive.
+    """
+    if lam <= 0.0:
+        return 0
+    lam_eff = tie_threshold(lam)
+    pi_sq = math.pi ** 2
+    a_sq = a * a
+    b_over_pi = b / math.pi
+    count = 0
+    m = 1
+    while True:
+        rem = lam_eff - pi_sq * m * m / a_sq
+        if rem <= 0.0:
+            return count
+        count += int(b_over_pi * math.sqrt(rem))
+        m += 1
+
+
+def loop_rect_neumann(a: float, b: float, lam: float) -> int:
+    """Scalar column loop for the Neumann count (m, n >= 0) of an a x b rectangle."""
+    if lam < 0.0:
+        return 0
+    lam_eff = tie_threshold(lam)
+    pi_sq = math.pi ** 2
+    a_sq = a * a
+    b_over_pi = b / math.pi
+    count = 0
+    m = 0
+    while True:
+        rem = lam_eff - pi_sq * m * m / a_sq
+        if rem < 0.0:
+            return count
+        count += 1 + int(b_over_pi * math.sqrt(rem))
+        m += 1
+
+
+def loop_tooth(q: int, h: float, lam: float) -> int:
+    """Scalar mode loop for the Dirichlet count of one (1/(2q)) x h tooth."""
+    if lam <= 0.0:
+        return 0
+    mu = lam / (q * q)
+    scale = q * h / math.pi
+    count = 0
+    l = 1
+    while True:
+        rem = mu - 4.0 * math.pi ** 2 * l * l
+        if rem <= 0.0:
+            return count
+        count += int(scale * math.sqrt(rem) * (1.0 + FLOOR_GUARD))
+        l += 1

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from combweyl import analytic
 from combweyl.analytic import (DomainSpec, EulerMaclaurinTerms, FOUR_PI_SQ,
@@ -144,8 +145,9 @@ class TestEulerMaclaurin:
         assert rep.em_terms.periodic == pytest.approx(EM_1000_1[2], rel=1e-11)
 
     def test_exact_mode_threshold(self):
-        # At mu = 4*pi^2 the integrand's endpoint is singular; the theta
-        # substitution keeps the quadrature accurate and delta = 1 - pi/2.
+        # At mu = 4*pi^2 the integrand's endpoint is singular; in the theta
+        # substitution the closed form stays finite (f(m) = 0, asin(1) = pi/2)
+        # and delta = 1 - pi/2.
         rep = em_decomposition(FOUR_PI_SQ, 1.0)
         assert rep.em_terms.endpoint == 0.0
         assert rep.em_terms.tail == pytest.approx(0.0, abs=1e-15)
@@ -156,6 +158,31 @@ class TestEulerMaclaurin:
         for l in (2, 3):
             rep = em_decomposition(FOUR_PI_SQ * l * l, 1.3)
             assert rep.em_delta == pytest.approx(rep.delta, abs=1e-8)
+
+    def test_periodic_part_matches_quadrature(self):
+        # Oracle: the per-interval theta integral the closed form replaces,
+        # integrated numerically with scipy's adaptive quadrature.
+        def quad_periodic(a, m):
+            total = 0.0
+            for l in range(1, m + 1):
+                th_lo = math.asin((l - 1) / a)
+                th_hi = math.asin(min(l / a, 1.0))
+
+                def integrand(theta, shift=(l - 1) + 0.5):
+                    return -(a * math.sin(theta) - shift) * math.sin(theta)
+
+                val, _ = quad(integrand, th_lo, th_hi, epsabs=1e-12,
+                              epsrel=1e-12, limit=200)
+                total += val
+            return total
+
+        mus = list(np.geomspace(FOUR_PI_SQ * (1.0 + 1e-9), 1e7, 200))
+        mus += [FOUR_PI_SQ * l * l for l in range(1, 51)]
+        for mu in mus:
+            m = mode_cutoff(float(mu))
+            a = math.sqrt(mu) / (2.0 * math.pi)
+            diff = analytic._periodic_part(a, m) - quad_periodic(a, m)
+            assert abs(diff) <= 1e-11, (mu, diff)
 
     def test_below_threshold_raises(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import combweyl
 from combweyl import analytic, dtn
 from combweyl.asymptotics import fmt17
 from combweyl.cli import main
@@ -24,6 +27,19 @@ def parse_kv(out):
         key, _, value = line.partition(" = ")
         pairs[key] = value
     return pairs
+
+
+def test_import_skips_quadrature_modules():
+    # The closed forms need no quadrature or special functions; importing
+    # scipy.integrate alone used to dominate the package's start-up time.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(combweyl.__file__)))
+    code = ("import sys, combweyl; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 class TestConstants:

@@ -199,3 +199,7 @@ def test_argument_validation():
         tooth_mode_eigenvalue(1, 1, 1.0, math.nan)
     with pytest.raises(ValueError):
         count_nonpositive_tooth(1, 1.0, math.inf)
+    # h is checked once up front, even when no mode propagates.
+    for lam in (-5.0, 30.0):
+        with pytest.raises(ValueError):
+            count_nonpositive_tooth(1, 0.0, lam)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from combweyl import DomainSpec
-from combweyl.lattice import (RectSpec, SpectralCount, UNIT_SQUARE,
+from combweyl import DomainSpec, lattice
+from combweyl.lattice import (TIE_TOL, RectSpec, SpectralCount, UNIT_SQUARE,
                               count_rect_dirichlet, count_rect_neumann,
                               count_tooth, enumerate_rect_eigs, tie_threshold)
+from helpers import loop_rect_dirichlet, loop_rect_neumann, loop_tooth
 
 PI_SQ = math.pi ** 2
 
@@ -138,6 +139,67 @@ class TestToothCount:
         lams = np.linspace(0.0, 3000.0, 80)
         counts = [count_tooth(spec, float(l)).count for l in lams]
         assert counts == sorted(counts)
+
+
+class TestColumnLoopEquivalence:
+    """The numpy column counts equal a scalar column loop, count for count."""
+
+    @staticmethod
+    def check_rect(a, b, lam):
+        rect = RectSpec(a, b)
+        assert count_rect_dirichlet(rect, lam).count == loop_rect_dirichlet(a, b, lam)
+        assert count_rect_neumann(rect, lam).count == loop_rect_neumann(a, b, lam)
+        if lam >= 0.0:
+            # The top column lies strictly past the Neumann cut (so also
+            # past the Dirichlet one): no column the loop accepts is missing.
+            lam_eff = tie_threshold(lam)
+            top = lattice._columns(0, a, lam_eff)[-1]
+            assert lam_eff - PI_SQ * top * top / (a * a) < 0.0, (a, lam)
+
+    def test_random_rectangles(self):
+        rng = np.random.default_rng(16)
+        for i in range(300):
+            a, b = ((1.0, 1.0) if i % 3 == 0
+                    else (float(x) for x in rng.uniform(0.05, 3.0, 2)))
+            lam = float(np.exp(rng.uniform(0.0, math.log(9e7))))
+            self.check_rect(a, b, lam)
+
+    def test_exact_square_ties(self):
+        for i in range(40):
+            for j in range(40):
+                self.check_rect(1.0, 1.0, PI_SQ * (i * i + j * j))
+
+    def test_column_boundary_ties(self):
+        # lam_eff lands on pi^2*k^2/a^2, where a column's remainder is zero
+        # up to rounding: the Neumann (k, 0) mode and the column margin meet.
+        rng = np.random.default_rng(17)
+        for i in range(200):
+            a = 1.0 if i % 3 == 0 else float(rng.uniform(0.05, 3.0))
+            k = int(rng.integers(1, 1000))
+            lam = PI_SQ * k * k / (a * a)
+            for x in (lam, lam / (1.0 + TIE_TOL)):
+                self.check_rect(a, float(rng.uniform(0.05, 3.0)), x)
+                self.check_rect(a, 1.0, float(np.nextafter(x, math.inf)))
+                self.check_rect(a, 1.0, float(np.nextafter(x, 0.0)))
+
+    def test_nonpositive_lambda(self):
+        for lam in (0.0, -0.0, -1e-300, -5.0, -1e8):
+            self.check_rect(1.0, 1.0, lam)
+            assert count_tooth(DomainSpec(2, 1.0), lam).count == loop_tooth(2, 1.0, lam)
+
+    def test_teeth(self):
+        rng = np.random.default_rng(18)
+        for i in range(400):
+            q = int(rng.integers(1, 7))
+            h = float(rng.uniform(0.05, 4.0))
+            if i % 4 == 0:
+                # A tooth cross-mode cutoff: mu - 4*pi^2*l^2 is zero up to rounding.
+                lam = 4.0 * PI_SQ * float(rng.integers(1, 600)) ** 2 * q * q
+            else:
+                lam = float(np.exp(rng.uniform(0.0, math.log(9e7))))
+            assert count_tooth(DomainSpec(q, h), lam).count == loop_tooth(q, h, lam)
+            top = lattice._columns(1, 1.0 / (2.0 * q), lam)[-1]
+            assert lam / (q * q) - 4.0 * PI_SQ * top * top <= 0.0, (q, lam)
 
 
 def test_lambda_validation():
