@@ -1,8 +1,10 @@
 """Sweep harness verifying N(mu*q^2) = c(mu)*q^2 + O(q) at desk scale.
 
 For each (mu, q, s) the harness counts comb eigenvalues three ways: the FD
-inertia count on the full comb, the exact lattice count on the unit square,
-and the exact per-tooth lattice count times q.  The defect
+count of the comb (fdlap.comb_inertia_count, from the square, tooth and
+mouth-row Schur complement inertias), the exact lattice count on the unit
+square, and the exact per-tooth lattice count times q.  Records are
+computed serially: each takes milliseconds.  The defect
 
     defect = n_fd - n_square - n_teeth
 
@@ -17,8 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -26,8 +26,7 @@ import numpy as np
 
 from .analytic import ConstantReport, DomainSpec
 from .dtn import count_nonpositive_tooth, square_mixed_gap
-from .fdlap import (MAX_QS, FactorizationError, assemble_dirichlet_operator,
-                    build_comb_grid, inertia_count)
+from .fdlap import MAX_QS, FactorizationError, comb_inertia_count, comb_layout
 from .lattice import UNIT_SQUARE, count_rect_dirichlet, count_tooth
 
 CSV_HEADER = ["mu", "h", "q", "s", "lambda", "n_fd", "n_square", "n_teeth",
@@ -137,10 +136,8 @@ def _sweep_one(mu: float, h: float, q: int, s: int) -> SweepRecord:
     n_teeth = q * count_tooth(spec, lam).count
     n_fd = defect = h_snapped = error = None
     try:
-        grid = build_comb_grid(spec, s)
-        h_snapped = grid.h_snapped
-        op = assemble_dirichlet_operator(grid)
-        n_fd = inertia_count(op, lam).count
+        h_snapped = comb_layout(spec, s).h_snapped
+        n_fd = comb_inertia_count(spec, s, lam).count
         defect = n_fd - n_square - n_teeth
     except (FactorizationError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -150,32 +147,16 @@ def _sweep_one(mu: float, h: float, q: int, s: int) -> SweepRecord:
                        wall_time_s=perf_counter() - t0, error=error)
 
 
-def run_sweep(config: ExperimentConfig,
-              max_workers: int | None = None) -> list[SweepRecord]:
+def run_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     """Compute one SweepRecord per (mu, q, s), sorted by (mu, q, s).
 
     FD failures are captured per record via the error field; the sweep never
-    aborts.  Records are independent, so they may be computed on a thread
-    pool (max_workers=None means one worker per available CPU); the final
-    sort makes the output order schedule-independent.
+    aborts.  Records are computed one after another in that order.
     """
-    tasks = [(mu, q, s)
-             for mu in config.mu_list
-             for q in config.q_list
-             for s in config.s_list]
-    if not tasks:
-        return []
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    max_workers = max(1, min(int(max_workers), len(tasks)))
-    if max_workers == 1:
-        records = [_sweep_one(mu, config.h, q, s) for mu, q, s in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(
-                lambda t: _sweep_one(t[0], config.h, t[1], t[2]), tasks))
-    records.sort(key=lambda r: (r.mu, r.q, r.s))
-    return records
+    return [_sweep_one(mu, config.h, q, s)
+            for mu in config.mu_list
+            for q in config.q_list
+            for s in config.s_list]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -20,11 +19,9 @@ from . import analytic, dtn, fdlap, lattice
 from .analytic import DomainSpec
 from .asymptotics import ExperimentConfig, fit_constant, fmt17, run_sweep, write_report
 
-THREADS_ENV = "COMBWEYL_THREADS"
-
 
 class ConfigError(Exception):
-    """Bad sweep config or environment; reported as a usage error (exit 2)."""
+    """Bad sweep config; reported as a usage error (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +127,12 @@ def _cmd_count_rect(args: argparse.Namespace) -> int:
 
 def _cmd_count_comb(args: argparse.Namespace) -> int:
     spec = DomainSpec(args.q, args.h)
-    grid = fdlap.build_comb_grid(spec, 2 ** args.refine)
-    if grid.degenerate_teeth:
+    s = 2 ** args.refine
+    if fdlap.comb_layout(spec, s).degenerate_teeth:
         print("warning: teeth degenerate at this refinement "
               "(no interior tooth nodes)", file=sys.stderr)
-    op = fdlap.assemble_dirichlet_operator(grid)
     lam = args.mu * args.q * args.q
-    print(fdlap.inertia_count(op, lam).count)
+    print(fdlap.comb_inertia_count(spec, s, lam).count)
     return 0
 
 
@@ -189,23 +185,9 @@ def _load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path!r}: {exc}")
 
 
-def _sweep_workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return workers
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    workers = _sweep_workers()
-    records = run_sweep(config, max_workers=workers)
+    records = run_sweep(config)
     finest = max(config.s_list)
     fits = {}
     constants = {}

@@ -4,16 +4,27 @@ The comb is discretized on a uniform grid of spacing delta = 1/(2qs), which
 makes the tooth width 1/(2q) exactly s cells and the tooth walls fall on
 grid lines.  The tooth height is snapped to the nearest grid line.  The
 5-point stencil gives a symmetric positive definite operator on the interior
-nodes; eigenvalues at or below a threshold lam are counted by factoring
-A - lam*I with SuperLU in symmetric mode (a fill-reducing minimum-degree
-ordering of A + A^T, diagonal pivots only), which is an LDL^T factorization
-whose negative pivots count the eigenvalues below lam (Sylvester's law of
-inertia).  A threshold exactly on an eigenvalue makes that factorization
-break down; the count is then taken at the edges of a narrow window around
-lam and the few eigenvalues inside it are resolved by ARPACK.  A dense
-LAPACK eigensolver (numpy's eigvalsh) and the closed-form rectangle FD
-spectrum serve as small-scale oracles; neither shares code with the route
-they check.
+nodes.
+
+Production counts (comb_inertia_count) never build that grid.  Removing the
+mouth row y = 1 leaves the square and q teeth, each a rectangle whose
+spectrum separates into DST-I modes in x and a tridiagonal in y, so
+Haynsworth inertia additivity gives n_fd(lam) = N_S + q*N_T + neg(Sigma):
+continued fractions count the square and tooth eigenvalues below lam, and
+one dense LDL^T of the Schur complement Sigma on the q*(s-1) mouth nodes
+counts the rest.  When a pivot of either falls below a floor, lam sits on
+or next to an eigenvalue, and the count falls back to inertia_count on the
+assembled comb.
+
+inertia_count factors A - lam*I of an assembled operator with SuperLU in
+symmetric mode (a fill-reducing minimum-degree ordering of A + A^T,
+diagonal pivots only), which is an LDL^T factorization whose negative
+pivots count the eigenvalues below lam (Sylvester's law of inertia).  A
+threshold exactly on an eigenvalue makes that factorization break down; the
+count is then taken at the edges of a narrow window around lam and the few
+eigenvalues inside it are resolved by ARPACK.  A dense LAPACK eigensolver
+(numpy's eigvalsh) and the closed-form rectangle FD spectrum serve as
+small-scale oracles; neither shares code with the route they check.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import ldl
 from scipy.sparse.linalg import eigsh, splu
 
 from .analytic import DomainSpec
@@ -92,12 +104,27 @@ class DiscreteOperator:
     norm_inf: float
 
 
-def build_comb_grid(spec: DomainSpec, s: int) -> CombGrid:
-    """Lay out the interior nodes of spec at refinement s (delta = 1/(2qs)).
+@dataclass(frozen=True)
+class CombLayout:
+    """Grid shape of a comb at refinement s, shared by the grid and the counter.
+
+    x_cells = 2qs cells span the unit square (delta = 1/x_cells), and the
+    tooth height snaps to h_rows cells: row y = 1 holds the tooth mouths and
+    h_rows - 1 tooth rows lie above it.
+    """
+
+    x_cells: int
+    h_rows: int
+    delta: float
+    h_snapped: float
+    degenerate_teeth: bool
+
+
+def comb_layout(spec: DomainSpec, s: int) -> CombLayout:
+    """Check s against the resource guard and snap the tooth height to the grid.
 
     Teeth are degenerate when s = 1 (zero interior columns) or when h snaps
-    to zero rows; the grid then covers only the square interior and the
-    degenerate_teeth flag is set instead of raising.
+    to zero rows.
     """
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise ValueError(f"s must be an int >= 1, got {s!r}")
@@ -107,9 +134,21 @@ def build_comb_grid(spec: DomainSpec, s: int) -> CombGrid:
     x_cells = 2 * spec.q * s
     delta = 1.0 / x_cells
     h_rows = int(round(spec.h * x_cells))
-    h_snapped = h_rows * delta
-    degenerate = (s == 1) or (h_rows == 0)
+    return CombLayout(x_cells=x_cells, h_rows=h_rows, delta=delta,
+                      h_snapped=h_rows * delta,
+                      degenerate_teeth=(s == 1) or (h_rows == 0))
 
+
+def build_comb_grid(spec: DomainSpec, s: int) -> CombGrid:
+    """Lay out the interior nodes of spec at refinement s (delta = 1/(2qs)).
+
+    Teeth are degenerate when s = 1 (zero interior columns) or when h snaps
+    to zero rows; the grid then covers only the square interior and the
+    degenerate_teeth flag is set instead of raising.
+    """
+    layout = comb_layout(spec, s)
+    x_cells, h_rows, delta = layout.x_cells, layout.h_rows, layout.delta
+    degenerate = layout.degenerate_teeth
     mask = np.zeros((x_cells + max(h_rows, 1) + 1, x_cells + 1), dtype=bool)
     mask[1:x_cells, 1:x_cells] = True
     if not degenerate:
@@ -123,7 +162,7 @@ def build_comb_grid(spec: DomainSpec, s: int) -> CombGrid:
     n = xi.shape[0]
     node_index = np.full(mask.shape, -1, dtype=np.int64)
     node_index[yi, xi] = np.arange(n, dtype=np.int64)
-    return CombGrid(spec=spec, s=s, delta=delta, h_snapped=h_snapped, n=n,
+    return CombGrid(spec=spec, s=s, delta=delta, h_snapped=layout.h_snapped, n=n,
                     degenerate_teeth=degenerate, node_index=node_index,
                     xi=xi, yi=yi)
 
@@ -262,6 +301,137 @@ def inertia_count(op: DiscreteOperator, lam: float) -> SpectralCount:
     raise FactorizationError(
         f"pivot breakdown (floor {pivot_floor:.3e}) at lambda={lam} and at "
         f"every tie window up to {MAX_JITTER_STEPS * JITTER_REL:g} relative")
+
+
+# ---------------------------------------------------------------------------
+# interface Schur-complement counting
+# ---------------------------------------------------------------------------
+
+def _continued_fraction(a: np.ndarray, rows: int,
+                        floor: float) -> tuple[int, np.ndarray] | None:
+    """Pivots of tridiag(-1, a_j, -1) with the given rows, for every a_j at once.
+
+    Runs d <- a_j - 1/d, the LDL^T of each tridiagonal from its first row,
+    and returns the number of negative pivots over all of them and each
+    last pivot d_j, whose inverse is the corner entry of the tridiagonal's
+    inverse.  A pivot below floor in magnitude returns None before it is
+    divided by.
+    """
+    d = a
+    negative = np.zeros(a.size, dtype=np.int64)
+    for _ in range(rows - 1):
+        if abs(d).min() < floor:
+            return None
+        negative += d < 0.0
+        d = a - 1.0 / d
+    if abs(d).min() < floor:
+        return None
+    return int(negative.sum()) + int(np.count_nonzero(d < 0.0)), d
+
+
+def _mode_coupling(cols: np.ndarray, size: int, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j*phi_j(x)*phi_j(x') for x, x' in cols, phi_j the DST-I modes.
+
+    phi_j(x) = sqrt(2/size)*sin(pi*x*j/size), j = 1..size-1, are orthonormal
+    on the columns 1..size-1.  A product of two sines is a difference of
+    cosines, so the sum is c[|x - x'|] - c[x + x'] with
+    c[k] = (1/size)*sum_j w_j*cos(pi*k*j/size): one FFT of the even
+    extension of w instead of a dense product of mode matrices.
+    """
+    even = np.zeros(2 * size)
+    even[1:size] = w
+    even[size + 1:] = w[::-1]
+    c = np.fft.fft(even).real / (2 * size)
+    return c[abs(cols[:, None] - cols)] - c[cols[:, None] + cols]
+
+
+def _block_eigenvalues(d: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a block diagonal D with 1x1 and 2x2 blocks (Bunch-Kaufman)."""
+    eig = np.diag(d).copy()
+    off = np.diag(d, 1)
+    first = np.flatnonzero(off)
+    if first.size:
+        blocks = np.empty((first.size, 2, 2))
+        blocks[:, 0, 0] = eig[first]
+        blocks[:, 1, 1] = eig[first + 1]
+        blocks[:, 0, 1] = blocks[:, 1, 0] = off[first]
+        pairs = np.linalg.eigvalsh(blocks)
+        eig[first], eig[first + 1] = pairs[:, 0], pairs[:, 1]
+    return eig
+
+
+def _schur_split(spec: DomainSpec, s: int,
+                 lam: float) -> tuple[int, int, int] | None:
+    """(N_S, N_T, neg(Sigma)) at lam, or None where a pivot falls below the floor.
+
+    Removing the mouth row y = 1 leaves the (2qs-1)^2 square and q teeth of
+    (s-1) x (h_rows-1) nodes, so Haynsworth inertia additivity gives
+    n_fd(lam) = N_S + q*N_T + neg(Sigma) with Sigma the Schur complement on
+    the q*(s-1) mouth nodes.  Each block is diagonalised in x by a DST-I and
+    left tridiagonal in y; the continued fraction of each mode counts its
+    negative pivots and gives the corner entry of its inverse, which is all
+    that couples it to the mouth row.  Everything is in units of
+    d2 = 1/delta^2; the floor is PIVOT_FLOOR_REL*8*d2, the pivot floor of
+    inertia_count on the assembled comb.
+    """
+    layout = comb_layout(spec, s)
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
+    n = layout.x_cells
+    shift = float(lam) / (n * n)
+    floor = PIVOT_FLOOR_REL * 8.0
+    j = np.arange(1, n)
+    square = _continued_fraction(
+        2.0 + 4.0 * np.sin(j * (math.pi / (2 * n))) ** 2 - shift, n - 1, floor)
+    if square is None:
+        return None
+    n_square, square_last = square
+    if layout.degenerate_teeth:
+        return n_square, 0, 0
+
+    k = np.arange(1, s)
+    n_tooth, tooth_block = 0, 0.0
+    if layout.h_rows > 1:
+        tooth = _continued_fraction(
+            2.0 + 4.0 * np.sin(k * (math.pi / (2 * s))) ** 2 - shift,
+            layout.h_rows - 1, floor)
+        if tooth is None:
+            return None
+        n_tooth, tooth_last = tooth
+        tooth_block = _mode_coupling(k, s, 1.0 / tooth_last)
+
+    cols = (2 * s * np.arange(spec.q)[:, None] + k).ravel()
+    sigma = -_mode_coupling(cols, n, 1.0 / square_last)
+    sigma[np.diag_indices(cols.size)] += 4.0 - shift
+    left = np.flatnonzero(np.diff(cols) == 1)
+    sigma[left, left + 1] -= 1.0
+    sigma[left + 1, left] -= 1.0
+    for t in range(spec.q):
+        block = slice(t * (s - 1), (t + 1) * (s - 1))
+        sigma[block, block] -= tooth_block
+    eig = _block_eigenvalues(ldl(sigma)[1])
+    if np.min(np.abs(eig)) < floor:
+        return None
+    return n_square, n_tooth, int(np.count_nonzero(eig < 0.0))
+
+
+def comb_inertia_count(spec: DomainSpec, s: int, lam: float) -> SpectralCount:
+    """Count FD comb eigenvalues at or below lam without building the grid.
+
+    The count is N_S + q*N_T + neg(Sigma) from _schur_split.  Where a
+    continued-fraction pivot or an eigenvalue of a D block of Sigma's LDL^T
+    falls below the pivot floor (lam on or next to an eigenvalue of the
+    comb, the square or a tooth), the count is inertia_count on the
+    assembled comb instead, with its tie window.  The grid checks and their
+    messages are those of build_comb_grid.
+    """
+    split = _schur_split(spec, s, lam)
+    if split is None:
+        op = assemble_dirichlet_operator(build_comb_grid(spec, s))
+        return inertia_count(op, lam)
+    n_square, n_tooth, n_sigma = split
+    return SpectralCount(float(lam), n_square + spec.q * n_tooth + n_sigma,
+                         "fd_schur", 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Dirichlet eigenvalues of an a x b rectangle are pi^2*(m^2/a^2 + n^2/b^2)
 with m, n >= 1; Neumann eigenvalues take m, n >= 0.  Counting those at or
 below a threshold lambda is a lattice-point count inside an ellipse, done
 here in O(sqrt(lambda)*a) time with a closed-form inner count per column.
-The column counts are vectorised with numpy: all columns up to just past
-the cut are evaluated at once, with the float expressions of a scalar column
-loop in the same order, so every count is bit-for-bit the loop's.  The
+The column counts are vectorised with numpy: the columns up to just past
+the cut are evaluated in chunks of COLUMN_CHUNK, with the float expressions
+of a scalar column loop in the same order, so every count is bit-for-bit
+the loop's and memory stays bounded for any threshold.  The
 enumeration oracle enumerate_rect_eigs is not vectorised; it stays a plain
 double loop, independent of the column counts it cross-checks.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -32,7 +33,12 @@ TIE_TOL = 1e-9
 # that are integers up to rounding do not drop a mode.
 FLOOR_GUARD = 1e-12
 
-CountMethod = Literal["lattice", "fd_inertia", "closed_form_fd", "dense_oracle"]
+# Columns per numpy chunk in the column counts, so that their memory stays
+# at a few MB whatever the threshold.
+COLUMN_CHUNK = 1 << 16
+
+CountMethod = Literal["lattice", "fd_inertia", "fd_schur", "closed_form_fd",
+                      "dense_oracle"]
 
 
 @dataclass(frozen=True)
@@ -80,17 +86,30 @@ def tie_threshold(lam: float) -> float:
 # closed-form column counts
 # ---------------------------------------------------------------------------
 
-def _columns(start: int, width: float, lam: float) -> np.ndarray:
-    """Column indices start..floor(width*sqrt(lam)/pi) + 2 as floats.
+def _columns(start: int, width: float, lam: float) -> range:
+    """Column indices start..floor(width*sqrt(lam)/pi) + 2.
 
-    The last index lies past the cut pi^2*m^2/width^2 = lam, so the array
+    The last index lies past the cut pi^2*m^2/width^2 = lam, so the range
     holds every column a scalar loop would accept.  The margin is 2, not 1,
     because at an exact tie the floor can land one short of the column that
-    sits on the cut.  Float indices make each product with m bitwise equal
-    to the loop's float-times-int arithmetic.
+    sits on the cut.
     """
     top = math.floor(width * math.sqrt(lam) / math.pi) + 2
-    return np.arange(start, top + 1, dtype=np.float64)
+    return range(start, top + 1)
+
+
+def _chunks(cols: range) -> Iterable[np.ndarray]:
+    """cols as float arrays of at most COLUMN_CHUNK consecutive indices.
+
+    Float indices make each product with m bitwise equal to the loop's
+    float-times-int arithmetic; the counts summed over chunks are exact
+    integer sums, so chunking changes no count.  A single chunk, the usual
+    case, is returned in a tuple: a generator costs about 1 us per count.
+    """
+    if len(cols) <= COLUMN_CHUNK:
+        return (np.arange(cols.start, cols.stop, dtype=np.float64),)
+    return (np.arange(lo, min(lo + COLUMN_CHUNK, cols.stop), dtype=np.float64)
+            for lo in range(cols.start, cols.stop, COLUMN_CHUNK))
 
 
 def count_rect_dirichlet(rect: RectSpec, lam: float) -> SpectralCount:
@@ -106,10 +125,11 @@ def count_rect_dirichlet(rect: RectSpec, lam: float) -> SpectralCount:
     pi_sq = math.pi ** 2
     a_sq = rect.a * rect.a
     b_over_pi = rect.b / math.pi
-    m = _columns(1, rect.a, lam_eff)
-    rem = lam_eff - pi_sq * m * m / a_sq
-    rem = rem[rem > 0.0]
-    count = int((b_over_pi * np.sqrt(rem)).astype(np.int64).sum())
+    count = 0
+    for m in _chunks(_columns(1, rect.a, lam_eff)):
+        rem = lam_eff - pi_sq * m * m / a_sq
+        rem = rem[rem > 0.0]
+        count += int((b_over_pi * np.sqrt(rem)).astype(np.int64).sum())
     return SpectralCount(lam, count, "lattice", TIE_TOL)
 
 
@@ -122,11 +142,12 @@ def count_rect_neumann(rect: RectSpec, lam: float) -> SpectralCount:
     pi_sq = math.pi ** 2
     a_sq = rect.a * rect.a
     b_over_pi = rect.b / math.pi
-    m = _columns(0, rect.a, lam_eff)
-    rem = lam_eff - pi_sq * m * m / a_sq
-    rem = rem[rem >= 0.0]
-    # n = 0 always qualifies once m does; positive n add floor(b*sqrt(rem)/pi).
-    count = rem.size + int((b_over_pi * np.sqrt(rem)).astype(np.int64).sum())
+    count = 0
+    for m in _chunks(_columns(0, rect.a, lam_eff)):
+        rem = lam_eff - pi_sq * m * m / a_sq
+        rem = rem[rem >= 0.0]
+        # n = 0 always qualifies once m does; positive n add floor(b*sqrt(rem)/pi).
+        count += rem.size + int((b_over_pi * np.sqrt(rem)).astype(np.int64).sum())
     return SpectralCount(lam, count, "lattice", TIE_TOL)
 
 
@@ -143,10 +164,11 @@ def count_tooth(spec: DomainSpec, lam: float) -> SpectralCount:
         return SpectralCount(lam, 0, "lattice", FLOOR_GUARD)
     mu = lam / (spec.q * spec.q)
     scale = spec.q * spec.h / math.pi
-    l = _columns(1, 1.0 / (2.0 * spec.q), lam)
-    rem = mu - 4.0 * math.pi ** 2 * l * l
-    rem = rem[rem > 0.0]
-    count = int((scale * np.sqrt(rem) * (1.0 + FLOOR_GUARD)).astype(np.int64).sum())
+    count = 0
+    for l in _chunks(_columns(1, 1.0 / (2.0 * spec.q), lam)):
+        rem = mu - 4.0 * math.pi ** 2 * l * l
+        rem = rem[rem > 0.0]
+        count += int((scale * np.sqrt(rem) * (1.0 + FLOOR_GUARD)).astype(np.int64).sum())
     return SpectralCount(lam, count, "lattice", FLOOR_GUARD)
 
 

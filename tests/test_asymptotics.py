@@ -77,7 +77,7 @@ class TestExperimentConfig:
 class TestRunSweep:
     def test_basic_records(self):
         cfg = ExperimentConfig(mu_list=(100.0,), h=1.0, q_list=(2,), s_list=(4, 2))
-        records = run_sweep(cfg, max_workers=1)
+        records = run_sweep(cfg)
         assert [(r.q, r.s) for r in records] == [(2, 2), (2, 4)]
         for r in records:
             assert r.mu == 100.0 and r.h == 1.0 and r.lam == 400.0
@@ -97,33 +97,31 @@ class TestRunSweep:
         # the continuum value as s doubles.
         cfg = ExperimentConfig(mu_list=(100.0,), h=1.0, q_list=(2,),
                                s_list=(2, 4, 8))
-        counts = [r.n_fd for r in run_sweep(cfg, max_workers=1)]
+        counts = [r.n_fd for r in run_sweep(cfg)]
         assert counts == [59, 39, 38]
 
     def test_deterministic_modulo_wall_time(self):
         cfg = ExperimentConfig(mu_list=(100.0,), h=1.0, q_list=(1, 2),
                                s_list=(2, 3))
         strip = lambda rs: [dataclasses.replace(r, wall_time_s=0.0) for r in rs]
-        first = strip(run_sweep(cfg, max_workers=1))
-        second = strip(run_sweep(cfg, max_workers=1))
-        parallel = strip(run_sweep(cfg, max_workers=3))
+        first = strip(run_sweep(cfg))
+        second = strip(run_sweep(cfg))
         assert first == second
-        assert first == parallel
 
     def test_fd_failure_is_recorded_not_raised(self, monkeypatch):
         import combweyl.asymptotics as mod
 
-        real = mod.inertia_count
+        real = mod.comb_inertia_count
 
-        def flaky(op, lam):
+        def flaky(spec, s, lam):
             if lam == 900.0:
                 raise FactorizationError("synthetic pivot breakdown")
-            return real(op, lam)
+            return real(spec, s, lam)
 
-        monkeypatch.setattr(mod, "inertia_count", flaky)
+        monkeypatch.setattr(mod, "comb_inertia_count", flaky)
         cfg = ExperimentConfig(mu_list=(100.0,), h=1.0, q_list=(1, 3),
                                s_list=(2,))
-        records = run_sweep(cfg, max_workers=1)
+        records = run_sweep(cfg)
         ok = next(r for r in records if r.q == 1)
         bad = next(r for r in records if r.q == 3)
         assert ok.error is None and ok.n_fd is not None
@@ -196,7 +194,7 @@ class TestDefectSeries:
     def test_structure_and_bound(self):
         cfg = ExperimentConfig(mu_list=(100.0,), h=1.0, q_list=(1, 2),
                                s_list=(4,))
-        records = run_sweep(cfg, max_workers=1)
+        records = run_sweep(cfg)
         series = defect_series(records)
         assert [q for q, _, _ in series] == [1, 2]
         for q, defect, bound in series:
@@ -237,7 +235,7 @@ class TestWriteReport:
         cfg = ExperimentConfig(mu_list=(100.0,), h=1.0, q_list=(2, 3, 4),
                                s_list=(2,), out_path=str(tmp_path / "sweep"))
         if records is None:
-            records = run_sweep(cfg, max_workers=1)
+            records = run_sweep(cfg)
         fits = {100.0: fit_constant(records)}
         constants = {100.0: constant_report(100.0, 1.0)}
         return cfg, records, fits, constants

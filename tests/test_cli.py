@@ -197,26 +197,6 @@ class TestSweep:
         assert not os.path.exists(out_base + ".csv")
         assert not os.path.exists(out_base + ".json")
 
-    def test_thread_env(self, capsys, tmp_path, monkeypatch):
-        cfg = self.write_config(
-            tmp_path, {"mu_list": [100.0], "h": 1.0, "q_list": [1, 2],
-                       "s_list": [2]})
-        out_base = str(tmp_path / "threaded")
-        monkeypatch.setenv("COMBWEYL_THREADS", "2")
-        code, out, _ = run(capsys, ["sweep", "--config", cfg, "--out", out_base])
-        assert code == 0
-        assert "records = 2, failed = 0" in out
-
-    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
-    def test_bad_thread_env(self, capsys, tmp_path, monkeypatch, value):
-        cfg = self.write_config(tmp_path)
-        out_base = str(tmp_path / "never")
-        monkeypatch.setenv("COMBWEYL_THREADS", value)
-        code, _, err = run(capsys, ["sweep", "--config", cfg, "--out", out_base])
-        assert code == 2
-        assert "COMBWEYL_THREADS" in err
-        assert not os.path.exists(out_base + ".csv")
-
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [

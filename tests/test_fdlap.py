@@ -7,13 +7,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from combweyl import DomainSpec, fdlap
+from combweyl import DomainSpec, dtn, fdlap
 from combweyl.cli import _gap_midpoints as gap_midpoints
-from combweyl.fdlap import (DENSE_MAX_N, DiscreteOperator, FactorizationError,
-                            MAX_QS, assemble_dirichlet_operator,
-                            build_comb_grid, build_rect_operator, dense_count,
-                            dense_eig_oracle, fd_rect_count_closed_form,
-                            inertia_count)
+from combweyl.fdlap import (DENSE_MAX_N, PIVOT_FLOOR_REL, DiscreteOperator,
+                            FactorizationError, MAX_QS,
+                            assemble_dirichlet_operator, build_comb_grid,
+                            build_rect_operator, comb_inertia_count,
+                            comb_layout, dense_count, dense_eig_oracle,
+                            fd_rect_count_closed_form, inertia_count)
 from helpers import comb_membership_nodes, random_small_operator
 
 
@@ -248,6 +249,174 @@ class TestInertia:
             for lam, want in gap_midpoints(eigs, rng, 4):
                 assert inertia_count(op, lam).count == want, (label, lam)
                 assert dense_count(op, lam).count == want, (label, lam)
+
+
+def _rect_eig(m_cols, k_rows, delta, i, j):
+    """Closed-form FD eigenvalue (i, j) of an m_cols x k_rows rectangle."""
+    sx = math.sin(i * math.pi / (2.0 * (m_cols + 1))) ** 2
+    sy = math.sin(j * math.pi / (2.0 * (k_rows + 1))) ** 2
+    return (4.0 / (delta * delta)) * (sx + sy)
+
+
+def _sparse_count(spec, s, lam):
+    return inertia_count(assemble_dirichlet_operator(build_comb_grid(spec, s)), lam)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCombInertiaCount:
+    """The mouth-row Schur counter against inertia_count on the assembled comb."""
+
+    def check_split(self, spec, s, lam):
+        """Counter equals inertia_count; its parts obey the exact identities."""
+        got = comb_inertia_count(spec, s, lam)
+        assert got.count == _sparse_count(spec, s, lam).count, (spec, s, lam)
+        assert got.method == "fd_schur" and got.tie_tol == 0.0
+        layout = comb_layout(spec, s)
+        n_square, n_tooth, n_sigma = fdlap._schur_split(spec, s, lam)
+        cells = layout.x_cells
+        assert n_square == fd_rect_count_closed_form(
+            cells - 1, cells - 1, layout.delta, lam).count
+        if layout.degenerate_teeth or layout.h_rows == 1:
+            assert n_tooth == 0
+        else:
+            assert n_tooth == fd_rect_count_closed_form(
+                s - 1, layout.h_rows - 1, layout.delta, lam).count
+        assert 0 <= n_sigma <= spec.q * (s - 1)
+        if layout.degenerate_teeth:
+            assert n_sigma == 0
+        return n_sigma
+
+    def test_random_battery(self):
+        rng = np.random.default_rng(61)
+        sigma_counts = []
+        for _ in range(60):
+            q = int(rng.integers(1, 33))
+            s = int(rng.integers(1, min(30, 60 // q) + 1))
+            spec = DomainSpec(q, float(rng.uniform(0.02, 2.5)))
+            lam = float(rng.uniform(1.0, 400.0)) * q * q
+            sigma_counts.append(self.check_split(spec, s, lam))
+        assert max(sigma_counts) > 0
+
+    def test_acceptance_grids(self):
+        for q, s in ((2, 15), (6, 30)):
+            self.check_split(DomainSpec(q, 1.0), s, 100.0 * q * q)
+
+    def test_degenerate_teeth(self):
+        rng = np.random.default_rng(62)
+        for _ in range(12):
+            q = int(rng.integers(1, 7))
+            s = int(rng.integers(1, 8))
+            cells = 2 * q * s
+            lam = float(rng.uniform(1.0, 400.0)) * q * q
+            # s = 1, then h snapping to zero rows, then to the mouth row alone.
+            self.check_split(DomainSpec(q, float(rng.uniform(0.1, 2.0))), 1, lam)
+            for rows in (0, 1):
+                h = (rows + float(rng.uniform(-0.4, 0.4))) / cells
+                if h > 0.0:
+                    assert comb_layout(DomainSpec(q, h), s).h_rows == rows
+                    self.check_split(DomainSpec(q, h), s, lam)
+
+    def test_ties_fall_back(self):
+        # Thresholds exactly on an eigenvalue of the square block, of a tooth
+        # block or of the comb itself.
+        rng = np.random.default_rng(63)
+        ties = 0
+        for _ in range(25):
+            q = int(rng.integers(1, 5))
+            s = int(rng.integers(2, 6))
+            spec = DomainSpec(q, float(rng.uniform(0.1, 1.5)))
+            layout = comb_layout(spec, s)
+            cells, rows = layout.x_cells, layout.h_rows
+            op = assemble_dirichlet_operator(build_comb_grid(spec, s))
+            lams = [_rect_eig(cells - 1, cells - 1, layout.delta,
+                              int(rng.integers(1, cells)), int(rng.integers(1, cells)))]
+            if rows >= 2:
+                lams.append(_rect_eig(s - 1, rows - 1, layout.delta,
+                                      int(rng.integers(1, s)), int(rng.integers(1, rows))))
+            if op.n <= DENSE_MAX_N:
+                lams.extend(float(x) for x in rng.choice(dense_eig_oracle(op), 2))
+            for lam in lams:
+                got = comb_inertia_count(spec, s, lam)
+                assert fdlap._schur_split(spec, s, lam) is None, (spec, s, lam)
+                assert got.method == "fd_inertia"
+                assert got.count == inertia_count(op, lam).count, (spec, s, lam)
+                ties += 1
+        assert ties >= 60
+
+    def test_zero_pivot_is_checked_before_division(self):
+        floor = 8.0 * PIVOT_FLOOR_REL
+        assert fdlap._continued_fraction(np.array([3.0, 0.0]), 4, floor) is None
+        # 2 - 1/2 - ... reaches an exact zero pivot at the second row of
+        # tridiag(-1, 1, -1).
+        assert fdlap._continued_fraction(np.array([1.0]), 3, floor) is None
+
+    def test_breakdown_falls_back_to_inertia_count(self, monkeypatch):
+        spec, s, lam = DomainSpec(3, 1.0), 4, 900.0
+        want = _sparse_count(spec, s, lam).count
+        calls = []
+        real = fdlap.inertia_count
+
+        def spy(op, lam):
+            calls.append(op.n)
+            return real(op, lam)
+
+        def singular_ldl(a):
+            return np.eye(len(a)), np.zeros_like(a), np.arange(len(a))
+
+        monkeypatch.setattr(fdlap, "inertia_count", spy)
+        assert comb_inertia_count(spec, s, lam).method == "fd_schur"
+        assert calls == []
+        monkeypatch.setattr(fdlap, "ldl", singular_ldl)
+        got = comb_inertia_count(spec, s, lam)
+        assert calls == [build_comb_grid(spec, s).n]
+        assert got.count == want and got.method == "fd_inertia"
+
+    def test_fallback_failure_propagates(self, monkeypatch):
+        def broken(op, lam):
+            raise FactorizationError("synthetic pivot breakdown")
+
+        monkeypatch.setattr(fdlap, "inertia_count", broken)
+        layout = comb_layout(DomainSpec(1, 1.0), 2)
+        tie = _rect_eig(3, 3, layout.delta, 1, 2)
+        with pytest.raises(FactorizationError):
+            comb_inertia_count(DomainSpec(1, 1.0), 2, tie)
+
+    def test_validation_matches_grid(self):
+        for s in (0, 2.0, True, MAX_QS // 64 + 1):
+            with pytest.raises(ValueError) as grid_err:
+                build_comb_grid(DomainSpec(64, 1.0), s)
+            with pytest.raises(ValueError) as count_err:
+                comb_inertia_count(DomainSpec(64, 1.0), s, 100.0)
+            assert str(count_err.value) == str(grid_err.value)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                comb_inertia_count(DomainSpec(1, 1.0), 2, lam)
+
+    @staticmethod
+    def discrete_dtn(q, h, s, lam, j):
+        """N*(1 - N^2*g_j): the one-sided difference at the mouth of tooth mode j.
+
+        g_j = 1/(N^2*e_j) is the corner entry of the inverse of the tooth
+        mode's y-tridiagonal, e_j its last continued-fraction pivot in units
+        of N^2.
+        """
+        layout = comb_layout(DomainSpec(q, h), s)
+        cells = layout.x_cells
+        a = np.array([2.0 + 4.0 * math.sin(math.pi * j / (2 * s)) ** 2
+                      - lam / cells ** 2])
+        _, last = fdlap._continued_fraction(a, layout.h_rows - 1,
+                                            8.0 * PIVOT_FLOOR_REL)
+        return cells * (1.0 - 1.0 / last[0]), layout.h_snapped
+
+    @pytest.mark.parametrize("mu", [100.0, 30.0])
+    def test_tooth_dtn_converges_first_order(self, mu):
+        errors = []
+        for s in (32, 64, 128):
+            value, h_snapped = self.discrete_dtn(1, 1.0, s, mu, 1)
+            errors.append(abs(value - dtn._rho(1, 1, h_snapped, mu)))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.7 <= coarse / fine <= 2.3, errors
+        assert errors[-1] < 0.15
 
 
 class TestClosedFormRect:

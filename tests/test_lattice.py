@@ -1,6 +1,7 @@
 """Tests for exact lattice eigenvalue counting on rectangles and teeth."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,33 @@ class TestColumnLoopEquivalence:
             assert count_tooth(DomainSpec(q, h), lam).count == loop_tooth(q, h, lam)
             top = lattice._columns(1, 1.0 / (2.0 * q), lam)[-1]
             assert lam / (q * q) - 4.0 * PI_SQ * top * top <= 0.0, (q, lam)
+
+
+class TestColumnChunks:
+    def test_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            count = count_rect_dirichlet(UNIT_SQUARE, 1e14).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The count of the unchunked column array, whose peak was 101.9 MB.
+        assert count == 7957743979200
+        assert peak < 8e6, peak
+
+    def test_chunk_boundaries_change_no_count(self, monkeypatch):
+        monkeypatch.setattr(lattice, "COLUMN_CHUNK", 7)
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            a, b = (float(x) for x in rng.uniform(0.05, 3.0, 2))
+            lam = float(np.exp(rng.uniform(0.0, math.log(9e5))))
+            assert count_rect_dirichlet(RectSpec(a, b), lam).count == \
+                loop_rect_dirichlet(a, b, lam)
+            assert count_rect_neumann(RectSpec(a, b), lam).count == \
+                loop_rect_neumann(a, b, lam)
+            q = int(rng.integers(1, 4))
+            assert count_tooth(DomainSpec(q, b), lam * q * q).count == \
+                loop_tooth(q, b, lam * q * q)
 
 
 def test_lambda_validation():
