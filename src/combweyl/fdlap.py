@@ -1,30 +1,28 @@
 """Finite-difference Dirichlet Laplacian on comb domains, with inertia counting.
 
-The comb is discretized on a uniform grid of spacing delta = 1/(2qs), which
-makes the tooth width 1/(2q) exactly s cells and the tooth walls fall on
-grid lines.  The tooth height is snapped to the nearest grid line.  The
-5-point stencil gives a symmetric positive definite operator on the interior
-nodes.
+The comb is discretized on a uniform grid of spacing delta = 1/(2qs), so
+the tooth width 1/(2q) is exactly s cells and the tooth walls fall on grid
+lines; the tooth height snaps to the nearest grid line.  The 5-point stencil
+gives a symmetric positive definite operator on the interior nodes.
 
 Production counts (comb_inertia_count) never build that grid.  Removing the
-mouth row y = 1 leaves the square and q teeth, each a rectangle whose
-spectrum separates into DST-I modes in x and a tridiagonal in y, so
-Haynsworth inertia additivity gives n_fd(lam) = N_S + q*N_T + neg(Sigma):
-continued fractions count the square and tooth eigenvalues below lam, and
-one dense LDL^T of the Schur complement Sigma on the q*(s-1) mouth nodes
-counts the rest.  When a pivot of either falls below a floor, lam sits on
-or next to an eigenvalue, and the count falls back to inertia_count on the
-assembled comb.
+mouth row y = 1 leaves the square and q teeth, so Haynsworth inertia
+additivity gives n_fd(lam) = N_S + q*N_T + neg(Sigma), Sigma the Schur
+complement on the q*(s-1) mouth nodes.  When a pivot falls below a floor,
+lam sits on or next to an eigenvalue, and the count falls back to
+inertia_count on the assembled comb.
 
 inertia_count factors A - lam*I of an assembled operator with SuperLU in
-symmetric mode (a fill-reducing minimum-degree ordering of A + A^T,
-diagonal pivots only), which is an LDL^T factorization whose negative
-pivots count the eigenvalues below lam (Sylvester's law of inertia).  A
-threshold exactly on an eigenvalue makes that factorization break down; the
-count is then taken at the edges of a narrow window around lam and the few
-eigenvalues inside it are resolved by ARPACK.  A dense LAPACK eigensolver
-(numpy's eigvalsh) and the closed-form rectangle FD spectrum serve as
-small-scale oracles; neither shares code with the route they check.
+symmetric mode (minimum-degree ordering of A + A^T, diagonal pivots only),
+an LDL^T factorization whose negative pivots count the eigenvalues below
+lam (Sylvester's law of inertia).  A threshold exactly on an eigenvalue
+breaks it down; the count is then taken at the edges of a narrow window
+around lam, and the few eigenvalues inside are resolved by block inverse
+iteration with the factor at the lower edge, each counted once a Ritz
+residual bound settles it.  Within about 1e-9 relative of an eigenvalue a
+count is certified only where that breakdown fires.  Numpy's LAPACK eigvalsh and
+the closed-form rectangle FD spectrum serve as small-scale oracles;
+neither shares code with the route they check.
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import ldl
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .analytic import DomainSpec
-from .lattice import TIE_TOL, SpectralCount, tie_threshold
+from .lattice import TIE_TOL, SpectralCount, _check_lam, tie_threshold
 
 # Resource guard: q*s caps the cells per unit length (grid side <= 2*2048).
 MAX_QS = 2048
@@ -49,14 +47,17 @@ DENSE_MAX_N = 400
 # Pivot acceptance floor, relative to ||A||_inf.  When the factorization at
 # lambda breaks down, counts are taken at lambda*(1 -/+ step*JITTER_REL):
 # JITTER_REL is the relative half-width of the tie window, widened up to
-# MAX_JITTER_STEPS times while a window edge still breaks down.
+# MAX_JITTER_STEPS times while a window edge still breaks down.  WINDOW_GUARD
+# and WINDOW_ITERATIONS are _window_count's extra columns and step cap.
 PIVOT_FLOOR_REL = 1e-10
 JITTER_REL = 1e-6
 MAX_JITTER_STEPS = 3
+WINDOW_GUARD = 2
+WINDOW_ITERATIONS = 12
 
 
 class FactorizationError(RuntimeError):
-    """Inertia counting failed: every tie window broke down, or ARPACK did."""
+    """Inertia counting failed: every tie window broke down, or was not resolved."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +68,10 @@ class FactorizationError(RuntimeError):
 class CombGrid:
     """Interior grid nodes of a comb domain at spacing delta = 1/(2qs).
 
-    node_index maps lattice coordinates to node ids: node_index[j, i] is the
-    id of the node at (i*delta, j*delta), or -1 if that point is not an
-    interior node.  Ids are assigned row-major, scanning y upward and x
-    rightward, so square rows come first, then the interface row y = 1
-    (tooth openings only), then tooth rows.  xi and yi invert the map:
-    node k sits at (xi[k]*delta, yi[k]*delta).
+    node_index[j, i] is the id of the node at (i*delta, j*delta), or -1 off
+    the interior.  Ids run row-major, y upward and x rightward: square rows,
+    then the interface row y = 1 (tooth openings only), then tooth rows.
+    Node k sits at (xi[k]*delta, yi[k]*delta).
     """
 
     spec: DomainSpec
@@ -94,8 +93,7 @@ class CombGrid:
 class DiscreteOperator:
     """Symmetric 5-point stencil operator restricted to interior nodes.
 
-    matrix is CSR with diagonal 4/delta^2 and -1/delta^2 between
-    grid-adjacent interior nodes.
+    matrix is CSR: 4/delta^2 on the diagonal, -1/delta^2 between grid neighbours.
     """
 
     matrix: sp.csr_matrix
@@ -123,8 +121,7 @@ class CombLayout:
 def comb_layout(spec: DomainSpec, s: int) -> CombLayout:
     """Check s against the resource guard and snap the tooth height to the grid.
 
-    Teeth are degenerate when s = 1 (zero interior columns) or when h snaps
-    to zero rows.
+    Teeth are degenerate when s = 1 (no interior columns) or h snaps to 0 rows.
     """
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise ValueError(f"s must be an int >= 1, got {s!r}")
@@ -142,9 +139,8 @@ def comb_layout(spec: DomainSpec, s: int) -> CombLayout:
 def build_comb_grid(spec: DomainSpec, s: int) -> CombGrid:
     """Lay out the interior nodes of spec at refinement s (delta = 1/(2qs)).
 
-    Teeth are degenerate when s = 1 (zero interior columns) or when h snaps
-    to zero rows; the grid then covers only the square interior and the
-    degenerate_teeth flag is set instead of raising.
+    With degenerate teeth (see comb_layout) the grid covers only the square
+    interior and the degenerate_teeth flag is set instead of raising.
     """
     layout = comb_layout(spec, s)
     x_cells, h_rows, delta = layout.x_cells, layout.h_rows, layout.delta
@@ -193,9 +189,7 @@ def _assemble_from_index(node_index: np.ndarray, delta: float) -> DiscreteOperat
 def assemble_dirichlet_operator(grid: CombGrid) -> DiscreteOperator:
     """Assemble the 5-point Dirichlet Laplacian on a comb grid.
 
-    Neighbors outside the domain contribute nothing (homogeneous Dirichlet),
-    so the diagonal is uniformly 4/delta^2 and every off-diagonal entry is
-    -1/delta^2 between grid-adjacent interior nodes.
+    Neighbors outside the domain contribute nothing (homogeneous Dirichlet).
     """
     return _assemble_from_index(grid.node_index, grid.delta)
 
@@ -224,13 +218,12 @@ def build_rect_operator(m_cols: int, k_rows: int, delta: float) -> DiscreteOpera
 # inertia counting
 # ---------------------------------------------------------------------------
 
-def _negative_pivots(a: sp.csc_matrix, pivot_floor: float) -> int | None:
-    """Negative pivots of a symmetric-mode LU of a, or None on breakdown.
+def _negative_pivots(a: sp.csc_matrix, pivot_floor: float) -> tuple[int, SuperLU] | None:
+    """Negative pivots and symmetric-mode LU of a, or None on breakdown.
 
     With only diagonal pivots taken (perm_r == perm_c), P a P^T = L U with
-    U = D L^T, so diag(U) is the D of an LDL^T factorization.  An
-    off-diagonal pivot, a pivot below pivot_floor in magnitude, or an
-    exactly singular factor is a breakdown.
+    U = D L^T, so diag(U) is the D of an LDL^T factorization.  An off-diagonal
+    pivot, a pivot below pivot_floor or an exactly singular factor is a breakdown.
     """
     try:
         lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -241,63 +234,80 @@ def _negative_pivots(a: sp.csc_matrix, pivot_floor: float) -> int | None:
     if (not np.array_equal(lu.perm_r, lu.perm_c)
             or np.min(np.abs(pivots)) < pivot_floor):
         return None
-    return int(np.count_nonzero(pivots < 0.0))
+    return int(np.count_nonzero(pivots < 0.0)), lu
 
 
-def _window_eigs(op: DiscreteOperator, sigma: float, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of op above sigma, by ARPACK shift-invert."""
-    try:
-        if k < op.n:
-            return eigsh(op.matrix, k, sigma=sigma, which="LA",
-                         return_eigenvectors=False)
-        # ARPACK needs k < n; the window then holds the whole spectrum.
-        return np.linalg.eigvalsh(op.matrix.toarray())
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        raise FactorizationError(
-            f"resolving {k} eigenvalues above {sigma}: {exc}") from exc
+def _window_count(op: DiscreteOperator, lu: SuperLU, lower: float, upper: float,
+                  k: int, threshold: float) -> int:
+    """How many of the k eigenvalues of op in (lower, upper) are <= threshold.
+
+    lu factors op - lower*I.  Block inverse iteration with it (one refinement
+    step per solve; WINDOW_GUARD extra columns take eigenvalues just below
+    lower) starts from a fixed pseudo-random block, and each step ends in
+    Rayleigh-Ritz (qr, eigh).  k distinct eigenvalues lie within ||R||_F plus
+    rounding of k Ritz values with residual R (Kahan); once those intervals
+    lie in the window and leave threshold out, they settle the count, else
+    FactorizationError follows WINDOW_ITERATIONS steps.  k itself comes from
+    the edge factorizations, uncertified within ~1e-9 relative of an eigenvalue.
+    """
+    x = np.random.default_rng(0).standard_normal((op.n, min(op.n, k + WINDOW_GUARD)))
+    for _ in range(WINDOW_ITERATIONS):
+        y = lu.solve(x)
+        y += lu.solve(x - (op.matrix @ y - lower * y))
+        q = np.linalg.qr(y)[0]
+        aq = op.matrix @ q
+        ritz, v = np.linalg.eigh(q.T @ aq)
+        x, inside = q @ v, (ritz > lower) & (ritz < upper)
+        theta = ritz[inside]
+        radius = (np.linalg.norm(aq @ v[:, inside] - x[:, inside] * theta)
+                  + 8.0 * np.finfo(float).eps * op.norm_inf)
+        if theta.size == k and radius < np.min(
+                abs(np.subtract.outer(theta, (lower, upper, threshold)))):
+            return int(np.count_nonzero(theta <= threshold))
+    raise FactorizationError(f"{k} eigenvalues in the tie window ({lower}, {upper}) "
+                             f"not resolved against {threshold}")
 
 
 def inertia_count(op: DiscreteOperator, lam: float) -> SpectralCount:
     """Count eigenvalues of op at or below lam by negative-pivot counting.
 
-    Factors op - lam*I with symmetric-mode SuperLU; by Sylvester's law the
-    number of negative pivots equals the number of eigenvalues below lam.
-    A breakdown (see _negative_pivots) means an eigenvalue sits at lam.  The
-    counts lo and hi are then taken at lam*(1 -/+ JITTER_REL*step), widening
-    the window while an edge breaks down and raising FactorizationError
-    after MAX_JITTER_STEPS widenings.  The hi - lo eigenvalues inside the
-    window are resolved by ARPACK and counted against tie_threshold(lam),
-    the "<=" convention of the lattice and closed-form counts.  tie_tol on
-    the result is TIE_TOL when the window was used and 0.0 otherwise.
+    By Sylvester's law the negative pivots of a symmetric-mode SuperLU
+    factorization of op - lam*I count the eigenvalues below lam.  A breakdown
+    (see _negative_pivots) means an eigenvalue sits at lam: the counts lo and
+    hi are then taken at lam*(1 -/+ JITTER_REL*step), widening the window
+    while an edge breaks down (FactorizationError after MAX_JITTER_STEPS),
+    and _window_count counts the hi - lo eigenvalues inside against
+    tie_threshold(lam), the "<=" convention of the exact counts.  tie_tol is
+    TIE_TOL when the window was used, else 0.0.  Not certified: lam within
+    about 1e-9 relative of an eigenvalue, where a factorization can pass the
+    pivot floor with the wrong inertia (lam on one can then miss the breakdown).
     """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
-    lam = float(lam)
+    lam = _check_lam(lam)
     pivot_floor = PIVOT_FLOOR_REL * op.norm_inf
-    # A is symmetric, so its CSR arrays are also its CSC arrays, and a shift
-    # only touches the stored diagonal.
+    # A is symmetric, so its CSR arrays serve as CSC; shifts edit one copy's diagonal.
     m = op.matrix
     diag = np.flatnonzero(m.indices == np.repeat(np.arange(op.n), np.diff(m.indptr)))
     if diag.size != op.n:
         raise ValueError("operator matrix must store its whole diagonal")
+    shifted = sp.csc_matrix((m.data.copy(), m.indices, m.indptr), shape=m.shape)
 
-    def negcount(shift: float) -> int | None:
-        data = m.data.copy()
-        data[diag] -= shift
-        return _negative_pivots(
-            sp.csc_matrix((data, m.indices, m.indptr), shape=m.shape), pivot_floor)
+    def factor(shift: float) -> tuple[int, SuperLU] | None:
+        shifted.data[diag] = m.data[diag] - shift
+        return _negative_pivots(shifted, pivot_floor)
 
-    count = negcount(lam)
-    if count is not None:
-        return SpectralCount(lam, count, "fd_inertia", 0.0)
+    at_lam = factor(lam)
+    if at_lam is not None:
+        return SpectralCount(lam, at_lam[0], "fd_inertia", 0.0)
     for step in range(1, MAX_JITTER_STEPS + 1):
         half = abs(lam) * step * JITTER_REL
-        lo, hi = negcount(lam - half), negcount(lam + half)
-        if lo is None or hi is None:
+        below, above = factor(lam - half), factor(lam + half)
+        if below is None or above is None:
             continue
-        window = _window_eigs(op, lam - half, hi - lo) if hi > lo else np.empty(0)
-        count = lo + int(np.count_nonzero(window <= tie_threshold(lam)))
-        return SpectralCount(lam, count, "fd_inertia", TIE_TOL)
+        (lo, lu), hi = below, above[0]
+        if hi > lo:
+            lo += _window_count(op, lu, lam - half, lam + half, hi - lo,
+                                tie_threshold(lam))
+        return SpectralCount(lam, lo, "fd_inertia", TIE_TOL)
     raise FactorizationError(
         f"pivot breakdown (floor {pivot_floor:.3e}) at lambda={lam} and at "
         f"every tie window up to {MAX_JITTER_STEPS * JITTER_REL:g} relative")
@@ -312,10 +322,9 @@ def _continued_fraction(a: np.ndarray, rows: int,
     """Pivots of tridiag(-1, a_j, -1) with the given rows, for every a_j at once.
 
     Runs d <- a_j - 1/d, the LDL^T of each tridiagonal from its first row,
-    and returns the number of negative pivots over all of them and each
-    last pivot d_j, whose inverse is the corner entry of the tridiagonal's
-    inverse.  A pivot below floor in magnitude returns None before it is
-    divided by.
+    and returns the negative pivots over all of them and each last pivot d_j
+    (1/d_j is the corner entry of the inverse).  A pivot below floor in
+    magnitude returns None before it is divided by.
     """
     d = a
     negative = np.zeros(a.size, dtype=np.int64)
@@ -334,15 +343,16 @@ def _mode_coupling(cols: np.ndarray, size: int, w: np.ndarray) -> np.ndarray:
 
     phi_j(x) = sqrt(2/size)*sin(pi*x*j/size), j = 1..size-1, are orthonormal
     on the columns 1..size-1.  A product of two sines is a difference of
-    cosines, so the sum is c[|x - x'|] - c[x + x'] with
-    c[k] = (1/size)*sum_j w_j*cos(pi*k*j/size): one FFT of the even
-    extension of w instead of a dense product of mode matrices.
+    cosines, so the sum is c[|x - x'|] - c[x + x'] with c[k] =
+    (1/size)*sum_j w_j*cos(pi*k*j/size), one FFT of the even extension of w.
     """
     even = np.zeros(2 * size)
     even[1:size] = w
     even[size + 1:] = w[::-1]
     c = np.fft.fft(even).real / (2 * size)
-    return c[abs(cols[:, None] - cols)] - c[cols[:, None] + cols]
+    coupling = c[abs(cols[:, None] - cols)]
+    coupling -= c[cols[:, None] + cols]
+    return coupling
 
 
 def _block_eigenvalues(d: np.ndarray) -> np.ndarray:
@@ -364,21 +374,16 @@ def _schur_split(spec: DomainSpec, s: int,
                  lam: float) -> tuple[int, int, int] | None:
     """(N_S, N_T, neg(Sigma)) at lam, or None where a pivot falls below the floor.
 
-    Removing the mouth row y = 1 leaves the (2qs-1)^2 square and q teeth of
-    (s-1) x (h_rows-1) nodes, so Haynsworth inertia additivity gives
-    n_fd(lam) = N_S + q*N_T + neg(Sigma) with Sigma the Schur complement on
-    the q*(s-1) mouth nodes.  Each block is diagonalised in x by a DST-I and
-    left tridiagonal in y; the continued fraction of each mode counts its
-    negative pivots and gives the corner entry of its inverse, which is all
-    that couples it to the mouth row.  Everything is in units of
-    d2 = 1/delta^2; the floor is PIVOT_FLOOR_REL*8*d2, the pivot floor of
-    inertia_count on the assembled comb.
+    The square has (2qs-1)^2 nodes and each tooth (s-1) x (h_rows-1).  Each
+    block is diagonalised in x by a DST-I and left tridiagonal in y; the
+    continued fraction of each mode counts its negative pivots and gives the
+    corner entry of its inverse, all that couples it to the mouth row.  One
+    dense LDL^T of Sigma counts the rest.  Units are d2 = 1/delta^2, so the
+    floor PIVOT_FLOOR_REL*8*d2 is inertia_count's floor on the assembled comb.
     """
     layout = comb_layout(spec, s)
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
     n = layout.x_cells
-    shift = float(lam) / (n * n)
+    shift = _check_lam(lam) / (n * n)
     floor = PIVOT_FLOOR_REL * 8.0
     j = np.arange(1, n)
     square = _continued_fraction(
@@ -401,7 +406,8 @@ def _schur_split(spec: DomainSpec, s: int,
         tooth_block = _mode_coupling(k, s, 1.0 / tooth_last)
 
     cols = (2 * s * np.arange(spec.q)[:, None] + k).ravel()
-    sigma = -_mode_coupling(cols, n, 1.0 / square_last)
+    sigma = _mode_coupling(cols, n, 1.0 / square_last)
+    np.negative(sigma, out=sigma)
     sigma[np.diag_indices(cols.size)] += 4.0 - shift
     left = np.flatnonzero(np.diff(cols) == 1)
     sigma[left, left + 1] -= 1.0
@@ -409,7 +415,8 @@ def _schur_split(spec: DomainSpec, s: int,
     for t in range(spec.q):
         block = slice(t * (s - 1), (t + 1) * (s - 1))
         sigma[block, block] -= tooth_block
-    eig = _block_eigenvalues(ldl(sigma)[1])
+    # Sigma is exactly symmetric: ldl factors its Fortran-ordered transpose in place.
+    eig = _block_eigenvalues(ldl(sigma.T, overwrite_a=True)[1])
     if np.min(np.abs(eig)) < floor:
         return None
     return n_square, n_tooth, int(np.count_nonzero(eig < 0.0))
@@ -418,12 +425,10 @@ def _schur_split(spec: DomainSpec, s: int,
 def comb_inertia_count(spec: DomainSpec, s: int, lam: float) -> SpectralCount:
     """Count FD comb eigenvalues at or below lam without building the grid.
 
-    The count is N_S + q*N_T + neg(Sigma) from _schur_split.  Where a
-    continued-fraction pivot or an eigenvalue of a D block of Sigma's LDL^T
-    falls below the pivot floor (lam on or next to an eigenvalue of the
-    comb, the square or a tooth), the count is inertia_count on the
-    assembled comb instead, with its tie window.  The grid checks and their
-    messages are those of build_comb_grid.
+    The count is N_S + q*N_T + neg(Sigma) from _schur_split, or, where that
+    meets a pivot below the floor (lam on or next to an eigenvalue of the
+    comb, the square or a tooth), inertia_count on the assembled comb.  The
+    grid checks and their messages are those of build_comb_grid.
     """
     split = _schur_split(spec, s, lam)
     if split is None:
@@ -451,9 +456,7 @@ def fd_rect_count_closed_form(m_cols: int, k_rows: int, delta: float,
             raise ValueError(f"{name} must be an int >= 1, got {v!r}")
     if not (isinstance(delta, (int, float)) and math.isfinite(delta)) or delta <= 0.0:
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
-    lam = float(lam)
+    lam = _check_lam(lam)
     sx = np.sin(np.arange(1, m_cols + 1) * (math.pi / (2.0 * (m_cols + 1)))) ** 2
     sy = np.sin(np.arange(1, k_rows + 1) * (math.pi / (2.0 * (k_rows + 1)))) ** 2
     vals = (4.0 / (delta * delta)) * (sx[:, None] + sy[None, :])
@@ -464,10 +467,9 @@ def fd_rect_count_closed_form(m_cols: int, k_rows: int, delta: float,
 def dense_eig_oracle(op: DiscreteOperator) -> np.ndarray:
     """All eigenvalues of op, nondecreasing, via LAPACK (numpy's eigvalsh).
 
-    Limited to n <= DENSE_MAX_N.  The dense symmetric solver is backward
-    stable, so each eigenvalue is accurate to a small multiple of
-    eps*||A||.  A LAPACK convergence failure is raised as
-    FactorizationError.
+    Limited to n <= DENSE_MAX_N.  The solver is backward stable: each
+    eigenvalue is within a small multiple of eps*||A||.  A LAPACK
+    convergence failure is raised as FactorizationError.
     """
     if op.n > DENSE_MAX_N:
         raise ValueError(f"dense oracle limited to n <= {DENSE_MAX_N}, got {op.n}")
@@ -479,9 +481,7 @@ def dense_eig_oracle(op: DiscreteOperator) -> np.ndarray:
 
 def dense_count(op: DiscreteOperator, lam: float) -> SpectralCount:
     """Eigenvalue count at or below lam taken from the dense LAPACK oracle."""
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
-    lam = float(lam)
+    lam = _check_lam(lam)
     eigs = dense_eig_oracle(op)
     count = int(np.count_nonzero(eigs <= tie_threshold(lam)))
     return SpectralCount(lam, count, "dense_oracle", TIE_TOL)

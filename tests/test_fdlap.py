@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from combweyl import DomainSpec, dtn, fdlap
 from combweyl.cli import _gap_midpoints as gap_midpoints
@@ -212,14 +211,60 @@ class TestInertia:
                 want = fd_rect_count_closed_form(m, k, delta, lam).count
                 assert inertia_count(op, lam).count == want, (m, k, delta, i, j)
 
-    def test_arpack_failure_is_factorization_error(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+    @pytest.mark.parametrize("m", [6, 9, 12])
+    def test_large_tie_window(self, m, monkeypatch):
+        # 4/delta^2 is an m-fold eigenvalue of the m x m grid, from the pairs
+        # (i, m+1-i); the eigenvalues at or below it are those with i + j <= m+1.
+        delta = 1.0 / (m + 1)
+        lam = 4.0 / (delta * delta)
+        op = build_rect_operator(m, m, delta)
+        got = inertia_count(op, lam)
+        assert got.count == fd_rect_count_closed_form(m, m, delta, lam).count
+        assert got.count == m * (m + 1) // 2
+        assert got.tie_tol > 0.0
+        # A threshold just below the tie leaves the whole window out.
+        monkeypatch.setattr(fdlap, "tie_threshold", lambda lam: lam * (1.0 - 1e-8))
+        assert inertia_count(op, lam).count == m * (m - 1) // 2
 
-        monkeypatch.setattr(fdlap, "eigsh", no_convergence)
+    def test_unresolved_window_is_factorization_error(self, monkeypatch):
+        monkeypatch.setattr(fdlap, "WINDOW_ITERATIONS", 0)
         lam = self._rect_eig(6, 6, 0.497301, 1, 3)
-        with pytest.raises(FactorizationError):
+        with pytest.raises(FactorizationError, match="not resolved"):
             inertia_count(build_rect_operator(6, 6, 0.497301), lam)
+
+    def test_window_straddling_threshold_is_factorization_error(self, monkeypatch):
+        # With no tie tolerance the threshold sits on the 12-fold eigenvalue,
+        # inside the Ritz intervals however far the iteration runs.
+        monkeypatch.setattr(fdlap, "tie_threshold", lambda lam: lam)
+        with pytest.raises(FactorizationError, match="not resolved"):
+            inertia_count(build_rect_operator(12, 12, 1.0 / 13), 4.0 * 13 * 13)
+
+    def test_window_resolves_to_rounding_level(self, monkeypatch):
+        # A threshold 1e-11 relative above the 18-fold eigenvalue 4/delta^2:
+        # the refined solves bring the Ritz residuals far below that gap.
+        monkeypatch.setattr(fdlap, "tie_threshold", lambda lam: lam * (1.0 + 1e-11))
+        op = build_rect_operator(18, 18, 1.0 / 19)
+        assert inertia_count(op, 4.0 * 19 * 19).count == 171
+
+    def test_eigenvalue_just_below_window(self):
+        # The tie at 10 lies 1e-5 above the window's lower edge and another
+        # eigenvalue 5e-6 below that edge: inverse iteration from the edge
+        # favours the outsider, which the guard columns must take.
+        vals = np.array([1.0, 5.0, 10.0 - 1.5e-5, 10.0, 20.0])
+        op = DiscreteOperator(matrix=sp.csr_matrix(np.diag(vals)), n=5, delta=1.0,
+                              norm_inf=20.0)
+        got = inertia_count(op, 10.0)
+        assert got.count == 4 and got.tie_tol > 0.0
+
+    def test_window_holding_fewer_eigenvalues_is_unresolved(self):
+        vals = np.array([1.0, 5.0, 10.0, 20.0])
+        op = DiscreteOperator(matrix=sp.csr_matrix(np.diag(vals)), n=4, delta=1.0,
+                              norm_inf=20.0)
+        lower, upper, threshold = 10.0 - 1e-5, 10.0 + 1e-5, 10.0 * (1.0 + 1e-9)
+        lu = fdlap._negative_pivots(sp.csc_matrix(np.diag(vals - lower)), 0.0)[1]
+        assert fdlap._window_count(op, lu, lower, upper, 1, threshold) == 1
+        with pytest.raises(FactorizationError, match="not resolved"):
+            fdlap._window_count(op, lu, lower, upper, 2, threshold)
 
     def test_breakdown_after_retries(self):
         # An absurd norm_inf makes the pivot floor reject every tie window.
@@ -360,7 +405,7 @@ class TestCombInertiaCount:
             calls.append(op.n)
             return real(op, lam)
 
-        def singular_ldl(a):
+        def singular_ldl(a, overwrite_a=False):
             return np.eye(len(a)), np.zeros_like(a), np.arange(len(a))
 
         monkeypatch.setattr(fdlap, "inertia_count", spy)
