@@ -23,20 +23,26 @@ residual bound settles it.  Within about 1e-9 relative of an eigenvalue a
 count is certified only where that breakdown fires.  Numpy's LAPACK eigvalsh and
 the closed-form rectangle FD spectrum serve as small-scale oracles;
 neither shares code with the route they check.
+
+SciPy is imported inside the functions that use it (scipy.sparse by the
+assembly and inertia_count, LAPACK by the counter), so importing this module,
+as every combweyl command does, loads none of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import ldl
-from scipy.sparse.linalg import SuperLU, splu
 
 from .analytic import DomainSpec
 from .lattice import TIE_TOL, SpectralCount, _check_lam, tie_threshold
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import SuperLU
 
 # Resource guard: q*s caps the cells per unit length (grid side <= 2*2048).
 MAX_QS = 2048
@@ -165,6 +171,8 @@ def build_comb_grid(spec: DomainSpec, s: int) -> CombGrid:
 
 def _assemble_from_index(node_index: np.ndarray, delta: float) -> DiscreteOperator:
     """5-point stencil assembly over any node_index layout (shared helper)."""
+    import scipy.sparse as sp
+
     mask = node_index >= 0
     n = int(mask.sum())
     d2 = 1.0 / (delta * delta)
@@ -225,6 +233,8 @@ def _negative_pivots(a: sp.csc_matrix, pivot_floor: float) -> tuple[int, SuperLU
     U = D L^T, so diag(U) is the D of an LDL^T factorization.  An off-diagonal
     pivot, a pivot below pivot_floor or an exactly singular factor is a breakdown.
     """
+    from scipy.sparse.linalg import splu
+
     try:
         lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -282,6 +292,8 @@ def inertia_count(op: DiscreteOperator, lam: float) -> SpectralCount:
     about 1e-9 relative of an eigenvalue, where a factorization can pass the
     pivot floor with the wrong inertia (lam on one can then miss the breakdown).
     """
+    import scipy.sparse as sp
+
     lam = _check_lam(lam)
     pivot_floor = PIVOT_FLOOR_REL * op.norm_inf
     # A is symmetric, so its CSR arrays serve as CSC; shifts edit one copy's diagonal.
@@ -355,16 +367,32 @@ def _mode_coupling(cols: np.ndarray, size: int, w: np.ndarray) -> np.ndarray:
     return coupling
 
 
-def _block_eigenvalues(d: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a block diagonal D with 1x1 and 2x2 blocks (Bunch-Kaufman)."""
-    eig = np.diag(d).copy()
-    off = np.diag(d, 1)
-    first = np.flatnonzero(off)
+def _block_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of D in the Bunch-Kaufman LDL^T of the symmetric a.
+
+    LAPACK dsytrf factors a in place when a is Fortran-ordered, blocked by
+    the workspace size that dsytrf_lwork returns (several times faster than
+    its default).  With lower = 1, D's diagonal is ldu's, and a 2x2 block at
+    (k, k+1) has ipiv[k] = ipiv[k+1] < 0 and off-diagonal ldu[k+1, k].
+    Negative entries come only in such pairs, so a block starts at each even
+    offset into a run of them.
+    """
+    from scipy.linalg.lapack import dsytrf, dsytrf_lwork
+
+    lwork = int(dsytrf_lwork(a.shape[0], lower=1)[0])
+    ldu, ipiv, info = dsytrf(a, lower=1, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal value in argument {-info}")
+    eig = np.diagonal(ldu).copy()
+    idx = np.arange(ipiv.size)
+    paired = ipiv < 0
+    run_start = np.maximum.accumulate(np.where(paired, 0, idx + 1))
+    first = np.flatnonzero(paired & ((idx - run_start) % 2 == 0))
     if first.size:
         blocks = np.empty((first.size, 2, 2))
         blocks[:, 0, 0] = eig[first]
         blocks[:, 1, 1] = eig[first + 1]
-        blocks[:, 0, 1] = blocks[:, 1, 0] = off[first]
+        blocks[:, 0, 1] = blocks[:, 1, 0] = ldu[first + 1, first]
         pairs = np.linalg.eigvalsh(blocks)
         eig[first], eig[first + 1] = pairs[:, 0], pairs[:, 1]
     return eig
@@ -378,8 +406,9 @@ def _schur_split(spec: DomainSpec, s: int,
     block is diagonalised in x by a DST-I and left tridiagonal in y; the
     continued fraction of each mode counts its negative pivots and gives the
     corner entry of its inverse, all that couples it to the mouth row.  One
-    dense LDL^T of Sigma counts the rest.  Units are d2 = 1/delta^2, so the
-    floor PIVOT_FLOOR_REL*8*d2 is inertia_count's floor on the assembled comb.
+    dense LDL^T of Sigma (LAPACK dsytrf, Bunch-Kaufman) counts the rest.
+    Units are d2 = 1/delta^2, so the floor PIVOT_FLOOR_REL*8*d2 is
+    inertia_count's floor on the assembled comb.
     """
     layout = comb_layout(spec, s)
     n = layout.x_cells
@@ -415,8 +444,8 @@ def _schur_split(spec: DomainSpec, s: int,
     for t in range(spec.q):
         block = slice(t * (s - 1), (t + 1) * (s - 1))
         sigma[block, block] -= tooth_block
-    # Sigma is exactly symmetric: ldl factors its Fortran-ordered transpose in place.
-    eig = _block_eigenvalues(ldl(sigma.T, overwrite_a=True)[1])
+    # Sigma is exactly symmetric: its Fortran-ordered transpose is factored in place.
+    eig = _block_eigenvalues(sigma.T)
     if np.min(np.abs(eig)) < floor:
         return None
     return n_square, n_tooth, int(np.count_nonzero(eig < 0.0))

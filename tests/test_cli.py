@@ -30,16 +30,36 @@ def parse_kv(out):
 
 
 def test_import_skips_quadrature_modules():
-    # The closed forms need no quadrature or special functions; importing
-    # scipy.integrate alone used to dominate the package's start-up time.
+    # The closed forms need no quadrature or special functions, and only the
+    # FD counters need SciPy, whose import would dominate start-up.  One fresh
+    # interpreter imports combweyl, runs the analytic commands, then a comb
+    # count on the Schur route (LAPACK only, no sparse assembly).
     src = os.path.dirname(os.path.dirname(os.path.abspath(combweyl.__file__)))
-    code = ("import sys, combweyl; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
-            "if m in sys.modules))")
+    code = """
+import contextlib, io, json, sys
+import combweyl
+from combweyl.cli import main
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
+seen = {"import": loaded("scipy")}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["constants", "--mu", "100", "--h", "1"]),
+             main(["count", "rect", "--a", "1", "--b", "1", "--lambda", "1e4"]),
+             main(["dtn", "--q", "3", "--h", "1", "--lambda", "900"])]
+    seen["analytic commands"] = loaded("scipy")
+    codes.append(main(["count", "comb", "--q", "3", "--h", "1", "--mu", "100",
+                       "--refine", "4"]))
+seen["count comb"] = loaded("scipy.sparse")
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert json.loads(out) == {
+        "codes": [0, 0, 0, 0],
+        "seen": {"import": [], "analytic commands": [], "count comb": []}}
 
 
 class TestConstants:

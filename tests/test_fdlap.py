@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse as sp
+from scipy.linalg import ldl
 
 from combweyl import DomainSpec, dtn, fdlap
 from combweyl.cli import _gap_midpoints as gap_midpoints
@@ -307,6 +309,22 @@ def _sparse_count(spec, s, lam):
     return inertia_count(assemble_dirichlet_operator(build_comb_grid(spec, s)), lam)
 
 
+def _ldl_block_eigenvalues(a):
+    """Eigenvalues of ldl(a)'s block diagonal d, and the first index of each 2x2 block."""
+    d = ldl(a)[1]
+    eig = np.diag(d).copy()
+    off = np.diag(d, 1)
+    first = np.flatnonzero(off)
+    if first.size:
+        blocks = np.empty((first.size, 2, 2))
+        blocks[:, 0, 0] = eig[first]
+        blocks[:, 1, 1] = eig[first + 1]
+        blocks[:, 0, 1] = blocks[:, 1, 0] = off[first]
+        pairs = np.linalg.eigvalsh(blocks)
+        eig[first], eig[first + 1] = pairs[:, 0], pairs[:, 1]
+    return eig, first
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCombInertiaCount:
     """The mouth-row Schur counter against inertia_count on the assembled comb."""
@@ -395,6 +413,23 @@ class TestCombInertiaCount:
         # tridiag(-1, 1, -1).
         assert fdlap._continued_fraction(np.array([1.0]), 3, floor) is None
 
+    def test_block_eigenvalues_match_ldl(self):
+        # _block_eigenvalues reads D from the dsytrf call, with the lwork,
+        # that scipy.linalg.ldl makes, so it must equal ldl's bit for bit.
+        # Small diagonals force 2x2 pivots, often several in a row.
+        rng = np.random.default_rng(16)
+        adjacent_pairs = 0
+        for n in (1, 2, 3, 8, 65, 200):
+            for _ in range(4):
+                a = rng.standard_normal((n, n))
+                a += a.T
+                a[np.diag_indices(n)] *= 1e-3
+                want, first = _ldl_block_eigenvalues(a)
+                adjacent_pairs += np.count_nonzero(np.diff(first) == 2)
+                got = fdlap._block_eigenvalues(np.asfortranarray(a))
+                np.testing.assert_array_equal(got, want)
+        assert adjacent_pairs > 0
+
     def test_breakdown_falls_back_to_inertia_count(self, monkeypatch):
         spec, s, lam = DomainSpec(3, 1.0), 4, 900.0
         want = _sparse_count(spec, s, lam).count
@@ -405,13 +440,14 @@ class TestCombInertiaCount:
             calls.append(op.n)
             return real(op, lam)
 
-        def singular_ldl(a, overwrite_a=False):
-            return np.eye(len(a)), np.zeros_like(a), np.arange(len(a))
+        def singular_dsytrf(a, lower=0, lwork=0, overwrite_a=0):
+            # A zero D, as LAPACK reports it: info = n, D(n, n) exactly zero.
+            return np.zeros_like(a), np.arange(1, len(a) + 1, dtype=np.int32), len(a)
 
         monkeypatch.setattr(fdlap, "inertia_count", spy)
         assert comb_inertia_count(spec, s, lam).method == "fd_schur"
         assert calls == []
-        monkeypatch.setattr(fdlap, "ldl", singular_ldl)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", singular_dsytrf)
         got = comb_inertia_count(spec, s, lam)
         assert calls == [build_comb_grid(spec, s).n]
         assert got.count == want and got.method == "fd_inertia"
