@@ -18,11 +18,12 @@ an LDL^T factorization whose negative pivots count the eigenvalues below
 lam (Sylvester's law of inertia).  A threshold exactly on an eigenvalue
 breaks it down; the count is then taken at the edges of a narrow window
 around lam, and the few eigenvalues inside are resolved by block inverse
-iteration with the factor at the lower edge, each counted once a Ritz
-residual bound settles it.  Within about 1e-9 relative of an eigenvalue a
-count is certified only where that breakdown fires.  Numpy's LAPACK eigvalsh and
-the closed-form rectangle FD spectrum serve as small-scale oracles;
-neither shares code with the route they check.
+iteration with the factor at the lower edge, from a start block solved once
+with the broken-down factor at lam when SuperLU produced one, each counted
+once a Ritz residual bound settles it.  Within about 1e-9 relative of an
+eigenvalue a count is certified only where that breakdown fires.  Numpy's
+LAPACK eigvalsh and the closed-form rectangle FD spectrum serve as
+small-scale oracles; neither shares code with the route they check.
 
 SciPy is imported inside the functions that use it (scipy.sparse by the
 assembly and inertia_count, LAPACK by the counter), so importing this module,
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -107,6 +109,19 @@ class DiscreteOperator:
     delta: float
     norm_inf: float
 
+    @cached_property
+    def diagonal_positions(self) -> np.ndarray:
+        """Positions of the diagonal entries in matrix.data, row by row.
+
+        Raises ValueError (and caches nothing) unless every row stores its
+        diagonal exactly once.
+        """
+        m = self.matrix
+        diag = np.flatnonzero(m.indices == np.repeat(np.arange(self.n), np.diff(m.indptr)))
+        if diag.size != self.n:
+            raise ValueError("operator matrix must store its whole diagonal")
+        return diag
+
 
 @dataclass(frozen=True)
 class CombLayout:
@@ -170,27 +185,25 @@ def build_comb_grid(spec: DomainSpec, s: int) -> CombGrid:
 
 
 def _assemble_from_index(node_index: np.ndarray, delta: float) -> DiscreteOperator:
-    """5-point stencil assembly over any node_index layout (shared helper)."""
+    """5-point stencil assembly over any node_index layout (shared helper).
+
+    Precondition: the ids run row-major (0..n-1 in np.nonzero order) and no
+    node lies on the border of node_index.  A node's neighbours then come as
+    below < left < self < right < above, so each CSR row is written sorted.
+    """
     import scipy.sparse as sp
 
-    mask = node_index >= 0
-    n = int(mask.sum())
+    yi, xi = np.nonzero(node_index >= 0)
+    n = yi.shape[0]
     d2 = 1.0 / (delta * delta)
-    yi, xi = np.nonzero(mask)
-    rows = [np.arange(n, dtype=np.int64)]
-    cols = [np.arange(n, dtype=np.int64)]
-    vals = [np.full(n, 4.0 * d2)]
-    for dj, di in ((0, 1), (1, 0)):
-        has_nb = mask[yi + dj, xi + di]
-        a = node_index[yi[has_nb], xi[has_nb]]
-        b = node_index[yi[has_nb] + dj, xi[has_nb] + di]
-        rows.append(np.concatenate((a, b)))
-        cols.append(np.concatenate((b, a)))
-        vals.append(np.full(2 * a.shape[0], -d2))
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    norm_inf = float(np.max(np.abs(matrix).sum(axis=1)))
+    stencil = np.column_stack((node_index[yi - 1, xi], node_index[yi, xi - 1],
+                               np.arange(n, dtype=np.int64),
+                               node_index[yi, xi + 1], node_index[yi + 1, xi]))
+    stored = stencil >= 0
+    data = np.broadcast_to(np.array([-d2, -d2, 4.0 * d2, -d2, -d2]), stencil.shape)[stored]
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
+    matrix = sp.csr_matrix((data, stencil[stored], indptr), shape=(n, n))
+    norm_inf = float(np.max(np.add.reduceat(abs(data), indptr[:-1])))
     return DiscreteOperator(matrix=matrix, n=n, delta=delta, norm_inf=norm_inf)
 
 
@@ -202,17 +215,22 @@ def assemble_dirichlet_operator(grid: CombGrid) -> DiscreteOperator:
     return _assemble_from_index(grid.node_index, grid.delta)
 
 
+def _check_rect_grid(m_cols: int, k_rows: int, delta: float) -> None:
+    """Reject a rectangle grid unless m_cols, k_rows are ints >= 1 and delta > 0 is finite."""
+    for name, v in (("m_cols", m_cols), ("k_rows", k_rows)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+    if not (isinstance(delta, (int, float)) and math.isfinite(delta)) or delta <= 0.0:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+
+
 def build_rect_operator(m_cols: int, k_rows: int, delta: float) -> DiscreteOperator:
     """5-point Dirichlet Laplacian on an m_cols x k_rows interior rectangle grid.
 
     The rectangle has sides (m_cols+1)*delta by (k_rows+1)*delta; nodes are
     ordered row-major by y then x.
     """
-    for name, v in (("m_cols", m_cols), ("k_rows", k_rows)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta)) or delta <= 0.0:
-        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    _check_rect_grid(m_cols, k_rows, delta)
     if m_cols * k_rows > MAX_QS * MAX_QS:
         raise ValueError(
             f"resource guard: m_cols*k_rows must be <= {MAX_QS * MAX_QS}")
@@ -226,12 +244,15 @@ def build_rect_operator(m_cols: int, k_rows: int, delta: float) -> DiscreteOpera
 # inertia counting
 # ---------------------------------------------------------------------------
 
-def _negative_pivots(a: sp.csc_matrix, pivot_floor: float) -> tuple[int, SuperLU] | None:
-    """Negative pivots and symmetric-mode LU of a, or None on breakdown.
+def _negative_pivots(a: sp.csc_matrix,
+                     pivot_floor: float) -> tuple[int | None, SuperLU | None]:
+    """Negative pivots and symmetric-mode LU of a; the count is None on breakdown.
 
     With only diagonal pivots taken (perm_r == perm_c), P a P^T = L U with
     U = D L^T, so diag(U) is the D of an LDL^T factorization.  An off-diagonal
-    pivot, a pivot below pivot_floor or an exactly singular factor is a breakdown.
+    pivot, a pivot below pivot_floor or an exactly singular factor is a
+    breakdown.  The LU is returned whenever SuperLU produced one, breakdown
+    or not, and is None only when SuperLU raised.
     """
     from scipy.sparse.linalg import splu
 
@@ -239,28 +260,36 @@ def _negative_pivots(a: sp.csc_matrix, pivot_floor: float) -> tuple[int, SuperLU
         lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError:
-        return None
+        return None, None
     pivots = lu.U.diagonal()
     if (not np.array_equal(lu.perm_r, lu.perm_c)
             or np.min(np.abs(pivots)) < pivot_floor):
-        return None
+        return None, lu
     return int(np.count_nonzero(pivots < 0.0)), lu
 
 
 def _window_count(op: DiscreteOperator, lu: SuperLU, lower: float, upper: float,
-                  k: int, threshold: float) -> int:
+                  k: int, threshold: float, seed: SuperLU | None) -> int:
     """How many of the k eigenvalues of op in (lower, upper) are <= threshold.
 
-    lu factors op - lower*I.  Block inverse iteration with it (one refinement
-    step per solve; WINDOW_GUARD extra columns take eigenvalues just below
-    lower) starts from a fixed pseudo-random block, and each step ends in
-    Rayleigh-Ritz (qr, eigh).  k distinct eigenvalues lie within ||R||_F plus
-    rounding of k Ritz values with residual R (Kahan); once those intervals
-    lie in the window and leave threshold out, they settle the count, else
-    FactorizationError follows WINDOW_ITERATIONS steps.  k itself comes from
-    the edge factorizations, uncertified within ~1e-9 relative of an eigenvalue.
+    lu factors op - lower*I, and seed, unless None, op - lam*I at the window's
+    centre, broken down or not.  Block inverse iteration with lu (one
+    refinement step per solve; WINDOW_GUARD extra columns take eigenvalues
+    just below lower) starts from a fixed pseudo-random block solved once
+    with seed: a shift on an eigenvalue all but finds its eigenvectors in one
+    solve (a seeded block that overflows is dropped).  The seed only moves
+    where the iteration starts.  Each step ends in Rayleigh-Ritz (qr, eigh).
+    k distinct eigenvalues lie within ||R||_F plus rounding of k Ritz values
+    with residual R (Kahan); once those intervals lie in the window and leave
+    threshold out, they settle the count, else FactorizationError follows
+    WINDOW_ITERATIONS steps.  k itself comes from the edge factorizations,
+    uncertified within ~1e-9 relative of an eigenvalue.
     """
     x = np.random.default_rng(0).standard_normal((op.n, min(op.n, k + WINDOW_GUARD)))
+    if seed is not None:
+        seeded = seed.solve(x)
+        if np.isfinite(seeded).all():
+            x = seeded
     for _ in range(WINDOW_ITERATIONS):
         y = lu.solve(x)
         y += lu.solve(x - (op.matrix @ y - lower * y))
@@ -287,38 +316,37 @@ def inertia_count(op: DiscreteOperator, lam: float) -> SpectralCount:
     hi are then taken at lam*(1 -/+ JITTER_REL*step), widening the window
     while an edge breaks down (FactorizationError after MAX_JITTER_STEPS),
     and _window_count counts the hi - lo eigenvalues inside against
-    tie_threshold(lam), the "<=" convention of the exact counts.  tie_tol is
-    TIE_TOL when the window was used, else 0.0.  Not certified: lam within
-    about 1e-9 relative of an eigenvalue, where a factorization can pass the
-    pivot floor with the wrong inertia (lam on one can then miss the breakdown).
+    tie_threshold(lam), the "<=" convention of the exact counts, starting
+    from a block solved with the broken-down factor at lam when SuperLU
+    produced one.  tie_tol is TIE_TOL when the window was used, else 0.0.
+    Not certified: lam within about 1e-9 relative of an eigenvalue, where a
+    factorization can pass the pivot floor with the wrong inertia (lam on
+    one can then miss the breakdown).  The diagonal positions are found once
+    per operator (DiscreteOperator.diagonal_positions).
     """
     import scipy.sparse as sp
 
     lam = _check_lam(lam)
     pivot_floor = PIVOT_FLOOR_REL * op.norm_inf
     # A is symmetric, so its CSR arrays serve as CSC; shifts edit one copy's diagonal.
-    m = op.matrix
-    diag = np.flatnonzero(m.indices == np.repeat(np.arange(op.n), np.diff(m.indptr)))
-    if diag.size != op.n:
-        raise ValueError("operator matrix must store its whole diagonal")
+    m, diag = op.matrix, op.diagonal_positions
     shifted = sp.csc_matrix((m.data.copy(), m.indices, m.indptr), shape=m.shape)
 
-    def factor(shift: float) -> tuple[int, SuperLU] | None:
+    def factor(shift: float) -> tuple[int | None, SuperLU | None]:
         shifted.data[diag] = m.data[diag] - shift
         return _negative_pivots(shifted, pivot_floor)
 
-    at_lam = factor(lam)
-    if at_lam is not None:
-        return SpectralCount(lam, at_lam[0], "fd_inertia", 0.0)
+    count, at_lam = factor(lam)
+    if count is not None:
+        return SpectralCount(lam, count, "fd_inertia", 0.0)
     for step in range(1, MAX_JITTER_STEPS + 1):
         half = abs(lam) * step * JITTER_REL
-        below, above = factor(lam - half), factor(lam + half)
-        if below is None or above is None:
+        (lo, lu), hi = factor(lam - half), factor(lam + half)[0]
+        if lo is None or hi is None:
             continue
-        (lo, lu), hi = below, above[0]
         if hi > lo:
             lo += _window_count(op, lu, lam - half, lam + half, hi - lo,
-                                tie_threshold(lam))
+                                tie_threshold(lam), at_lam)
         return SpectralCount(lam, lo, "fd_inertia", TIE_TOL)
     raise FactorizationError(
         f"pivot breakdown (floor {pivot_floor:.3e}) at lambda={lam} and at "
@@ -480,11 +508,7 @@ def fd_rect_count_closed_form(m_cols: int, k_rows: int, delta: float,
     (4/delta^2) * (sin^2(m*pi/(2*(m_cols+1))) + sin^2(k*pi/(2*(k_rows+1))))
     for 1 <= m <= m_cols, 1 <= k <= k_rows.
     """
-    for name, v in (("m_cols", m_cols), ("k_rows", k_rows)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta)) or delta <= 0.0:
-        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    _check_rect_grid(m_cols, k_rows, delta)
     lam = _check_lam(lam)
     sx = np.sin(np.arange(1, m_cols + 1) * (math.pi / (2.0 * (m_cols + 1)))) ** 2
     sy = np.sin(np.arange(1, k_rows + 1) * (math.pi / (2.0 * (k_rows + 1)))) ** 2

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import combweyl
 from combweyl.asymptotics import (CSV_HEADER, ExperimentConfig, FitResult,
                                   SweepRecord, defect_series, fit_constant,
                                   fmt17, run_sweep, write_report)
@@ -107,6 +111,26 @@ class TestRunSweep:
         first = strip(run_sweep(cfg))
         second = strip(run_sweep(cfg))
         assert first == second
+
+    def test_lapack_loaded_before_first_record(self):
+        # In a fresh interpreter, the one-off LAPACK import must not fall inside
+        # the first record's wall_time_s.
+        code = """
+import json, sys
+from combweyl import asymptotics
+seen, sweep_one = [], asymptotics._sweep_one
+def probe(*args):
+    seen.append("scipy.linalg.lapack" in sys.modules)
+    return sweep_one(*args)
+asymptotics._sweep_one = probe
+asymptotics.run_sweep(asymptotics.ExperimentConfig((100.0,), 1.0, (2, 3), (3,)))
+print(json.dumps(seen))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(combweyl.__file__)))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert json.loads(out) == [True, True]
 
     def test_fd_failure_is_recorded_not_raised(self, monkeypatch):
         import combweyl.asymptotics as mod

@@ -146,6 +146,50 @@ class TestOperator:
         with pytest.raises(ValueError):
             build_rect_operator(3000, 3000, 0.001)
 
+    @staticmethod
+    def coo_reference(node_index, delta):
+        """The stencil as COO triplets summed into CSR by SciPy, and its row-sum norm."""
+        mask = node_index >= 0
+        yi, xi = np.nonzero(mask)
+        n, d2 = yi.size, 1.0 / (delta * delta)
+        rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0 * d2)]
+        for dj, di in ((0, 1), (1, 0)):
+            has_nb = mask[yi + dj, xi + di]
+            a = node_index[yi[has_nb], xi[has_nb]]
+            b = node_index[yi[has_nb] + dj, xi[has_nb] + di]
+            rows.append(np.concatenate((a, b)))
+            cols.append(np.concatenate((b, a)))
+            vals.append(np.full(2 * a.size, -d2))
+        matrix = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n)).tocsr()
+        return matrix, float(np.max(abs(matrix).sum(axis=1)))
+
+    @staticmethod
+    def assert_bit_equal(op, ref, norm_inf):
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(op.matrix, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert op.norm_inf == norm_inf
+
+    def test_rect_assembly_matches_coo_reference(self):
+        for m, k, delta in ((1, 1, 0.5), (1, 7, 0.3), (7, 1, 0.11), (2, 2, 0.25),
+                            (6, 6, 0.497301), (5, 9, 0.07), (13, 3, 1.7)):
+            node_index = np.full((k + 2, m + 2), -1, dtype=np.int64)
+            node_index[1:-1, 1:-1] = np.arange(m * k).reshape(k, m)
+            self.assert_bit_equal(build_rect_operator(m, k, delta),
+                                  *self.coo_reference(node_index, delta))
+
+    def test_comb_assembly_matches_coo_reference(self):
+        # h = 0.01 snaps to no tooth rows and s = 1 leaves no tooth columns.
+        for q in (1, 2, 3):
+            for s in range(1, 6):
+                for h in (0.01, 0.3, 1.0, 1.7):
+                    grid = build_comb_grid(DomainSpec(q, h), s)
+                    self.assert_bit_equal(assemble_dirichlet_operator(grid),
+                                          *self.coo_reference(grid.node_index,
+                                                              grid.delta))
+
 
 class TestInertia:
     def test_rect_3x3_spot_values(self):
@@ -234,6 +278,14 @@ class TestInertia:
         with pytest.raises(FactorizationError, match="not resolved"):
             inertia_count(build_rect_operator(6, 6, 0.497301), lam)
 
+    def test_tie_window_seeded_from_factor_at_lambda(self, monkeypatch):
+        # One solve with the broken-down factor at the tie all but finds its
+        # eigenvectors, so a single refined step settles the (1,3)/(3,1) pair.
+        monkeypatch.setattr(fdlap, "WINDOW_ITERATIONS", 1)
+        lam = self._rect_eig(6, 6, 0.497301, 1, 3)
+        got = inertia_count(build_rect_operator(6, 6, 0.497301), lam)
+        assert got.count == 6 and got.tie_tol > 0.0
+
     def test_window_straddling_threshold_is_factorization_error(self, monkeypatch):
         # With no tie tolerance the threshold sits on the 12-fold eigenvalue,
         # inside the Ritz intervals however far the iteration runs.
@@ -264,9 +316,9 @@ class TestInertia:
                               norm_inf=20.0)
         lower, upper, threshold = 10.0 - 1e-5, 10.0 + 1e-5, 10.0 * (1.0 + 1e-9)
         lu = fdlap._negative_pivots(sp.csc_matrix(np.diag(vals - lower)), 0.0)[1]
-        assert fdlap._window_count(op, lu, lower, upper, 1, threshold) == 1
+        assert fdlap._window_count(op, lu, lower, upper, 1, threshold, None) == 1
         with pytest.raises(FactorizationError, match="not resolved"):
-            fdlap._window_count(op, lu, lower, upper, 2, threshold)
+            fdlap._window_count(op, lu, lower, upper, 2, threshold, None)
 
     def test_breakdown_after_retries(self):
         # An absurd norm_inf makes the pivot floor reject every tie window.
@@ -511,10 +563,19 @@ class TestClosedFormRect:
         assert fd_rect_count_closed_form(4, 6, 0.1, 1.0e9).count == 24
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fd_rect_count_closed_form(0, 1, 0.5, 10.0)
-        with pytest.raises(ValueError):
-            fd_rect_count_closed_form(1, 1, 0.0, 10.0)
+        # The rectangle checks and their messages are build_rect_operator's.
+        for m, k, delta, message in (
+                (0, 1, 0.5, "m_cols must be an int >= 1, got 0"),
+                (2, 1.0, 0.5, "k_rows must be an int >= 1, got 1.0"),
+                (True, 1, 0.5, "m_cols must be an int >= 1, got True"),
+                (1, 1, 0.0, "delta must be finite and > 0, got 0.0"),
+                (1, 1, math.nan, "delta must be finite and > 0, got nan"),
+                (1, 1, "0.5", "delta must be finite and > 0, got '0.5'")):
+            with pytest.raises(ValueError) as op_err:
+                build_rect_operator(m, k, delta)
+            with pytest.raises(ValueError) as count_err:
+                fd_rect_count_closed_form(m, k, delta, 10.0)
+            assert str(op_err.value) == str(count_err.value) == message
         with pytest.raises(ValueError):
             fd_rect_count_closed_form(1, 1, 0.5, math.inf)
 
