@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-import numpy as np
-
-from . import analytic, dtn, fdlap, lattice
+from . import analytic, checks, dtn, fdlap, lattice
 from .analytic import DomainSpec
 from .asymptotics import ExperimentConfig, fit_constant, fmt17, run_sweep, write_report
 
@@ -210,178 +207,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # selftest battery
 # ---------------------------------------------------------------------------
 
-def _check_lattice_vs_enumeration() -> str | None:
-    rng = np.random.default_rng(1001)
-    for _ in range(60):
-        rect = lattice.RectSpec(float(rng.uniform(0.2, 3.0)),
-                                float(rng.uniform(0.2, 3.0)))
-        lam = float(rng.uniform(0.0, 600.0))
-        fast = lattice.count_rect_dirichlet(rect, lam).count
-        slow = len(lattice.enumerate_rect_eigs(rect, lam))
-        if fast != slow:
-            return f"rect {rect} lam={lam}: closed-form {fast} != enumerated {slow}"
-    return None
-
-
-def _check_tooth_vs_rect() -> str | None:
-    rng = np.random.default_rng(1002)
-    for _ in range(100):
-        q = int(rng.integers(1, 7))
-        h = float(rng.uniform(0.3, 2.5))
-        spec = DomainSpec(q, h)
-        lam = float(rng.uniform(0.0, 400.0 * q * q))
-        tooth = lattice.count_tooth(spec, lam).count
-        rect = lattice.count_rect_dirichlet(
-            lattice.RectSpec(1.0 / (2.0 * q), h), lam).count
-        if tooth != rect:
-            return f"q={q} h={h} lam={lam}: tooth {tooth} != rect {rect}"
-    return None
-
-
-def _check_em_identity() -> str | None:
-    for mu, h in ((50.0, 0.5), (100.0, 1.0), (400.0, 2.0), (1000.0, 1.0)):
-        rep = analytic.em_decomposition(mu, h)
-        if abs(rep.em_delta - rep.delta) > 1e-8:
-            return f"mu={mu} h={h}: em {rep.em_delta} vs direct {rep.delta}"
-    return None
-
-
-def _check_crossover_signs() -> str | None:
-    scan = analytic.crossover_scan([4.0, 16.0, 36.0], 1.0)
-    signs = [sign for _, _, sign in scan]
-    if signs != [1, 0, -1]:
-        return f"signs at mu=4,16,36: {signs} != [1, 0, -1]"
-    return None
-
-
-def _check_closed_form_delta() -> str | None:
-    rng = np.random.default_rng(1003)
-    for _ in range(20):
-        mu = float(rng.uniform(0.5, analytic.FOUR_PI_SQ * 0.999))
-        h = float(rng.uniform(0.1, 4.0))
-        expect = h * (4.0 * math.sqrt(mu) - mu) / (8.0 * math.pi)
-        got = analytic.theorem_constant(mu, h) - analytic.weyl_constant(mu, h)
-        scale = max(1e-30, abs(expect))
-        if abs(got - expect) > 1e-12 * scale + 1e-15:
-            return f"mu={mu} h={h}: delta {got} vs closed form {expect}"
-    return None
-
-
-def _check_dtn_positivity() -> str | None:
-    rng = np.random.default_rng(1004)
-    for _ in range(300):
-        q = int(rng.integers(1, 5))
-        h = float(rng.uniform(0.2, 3.0))
-        lam = float(rng.uniform(0.5, 900.0))
-        cutoff = analytic.mode_cutoff(lam / (q * q))
-        k = cutoff + 1 + int(rng.integers(0, 4))
-        rho = dtn.tooth_mode_eigenvalue(k, q, h, lam)
-        if rho <= 0.0:
-            return f"super-cutoff mode k={k} q={q} h={h} lam={lam}: rho={rho}"
-    return None
-
-
-def _check_dtn_counts() -> str | None:
-    low = dtn.count_nonpositive_tooth(1, 1.0, 45.0)
-    high = dtn.count_nonpositive_tooth(1, 1.0, 100.0)
-    if (low, high) != (1, 0):
-        return f"count_nonpositive_tooth at 45, 100: {(low, high)} != (1, 0)"
-    return None
-
-
-def _check_inertia_vs_dense() -> str | None:
-    rng = np.random.default_rng(1005)
-    for trial in range(6):
-        if trial % 2 == 0:
-            m = int(rng.integers(2, 12))
-            k = int(rng.integers(2, 12))
-            op = fdlap.build_rect_operator(m, k, float(rng.uniform(0.05, 0.5)))
-        else:
-            q = int(rng.integers(1, 4))
-            s = int(rng.integers(2, 5))
-            grid = fdlap.build_comb_grid(DomainSpec(q, float(rng.uniform(0.4, 1.6))), s)
-            if grid.n > fdlap.DENSE_MAX_N:
-                continue
-            op = fdlap.assemble_dirichlet_operator(grid)
-        eigs = fdlap.dense_eig_oracle(op)
-        for lam, want in _gap_midpoints(eigs, rng, 3):
-            got = fdlap.inertia_count(op, lam).count
-            if got != want:
-                return f"n={op.n} lam={lam}: inertia {got} != dense {want}"
-    return None
-
-
-def _gap_midpoints(eigs: np.ndarray, rng: np.random.Generator,
-                   count: int) -> list[tuple[float, int]]:
-    """Thresholds in well-separated spectral gaps, with the expected count.
-
-    Comb spectra carry q-fold degenerate tooth modes, and the dense oracle
-    resolves such clusters only to its rounding noise; a threshold inside a
-    cluster would make the count ill-defined.  Requiring a relative gap of
-    1e-7 keeps every threshold several orders above the oracle's error.
-    """
-    n = len(eigs)
-    scale = max(1.0, float(abs(eigs[-1])))
-    picks: list[tuple[float, int]] = []
-    attempts = 0
-    while len(picks) < count and attempts < 60 * count:
-        attempts += 1
-        i = int(rng.integers(-1, n))
-        if i < 0:
-            picks.append((float(eigs[0] - 1.0), 0))
-        elif i == n - 1:
-            picks.append((float(eigs[-1] + 1.0), n))
-        elif eigs[i + 1] - eigs[i] > 1e-7 * scale:
-            picks.append((float(0.5 * (eigs[i] + eigs[i + 1])), i + 1))
-    return picks
-
-
-def _check_inertia_vs_closed_form() -> str | None:
-    for m, k in ((1, 1), (3, 3), (2, 7), (5, 4)):
-        for delta in (0.5, 0.25, 0.1):
-            op = fdlap.build_rect_operator(m, k, delta)
-            for lam in (0.0, 18.0, 19.0, 100.0, 500.0):
-                got = fdlap.inertia_count(op, lam).count
-                want = fdlap.fd_rect_count_closed_form(m, k, delta, lam).count
-                if got != want:
-                    return (f"M={m} K={k} delta={delta} lam={lam}: "
-                            f"inertia {got} != closed form {want}")
-    return None
-
-
-def _check_square_convergence() -> str | None:
-    op = fdlap.build_rect_operator(31, 31, 1.0 / 32.0)
-    got = fdlap.inertia_count(op, 100.0).count
-    if got != 6:
-        return f"unit square at delta=1/32: count {got} != 6"
-    return None
-
-
 def _cmd_selftest(_args: argparse.Namespace) -> int:
-    checks = [
-        ("lattice count vs enumeration", _check_lattice_vs_enumeration),
-        ("tooth count vs rectangle count", _check_tooth_vs_rect),
-        ("euler-maclaurin identity", _check_em_identity),
-        ("crossover signs at 4/16/36", _check_crossover_signs),
-        ("closed-form delta below first cutoff", _check_closed_form_delta),
-        ("dtn positivity above cutoff", _check_dtn_positivity),
-        ("dtn nonpositive counts at 45/100", _check_dtn_counts),
-        ("inertia vs dense lapack oracle", _check_inertia_vs_dense),
-        ("inertia vs closed-form fd rectangle", _check_inertia_vs_closed_form),
-        ("unit square convergence at delta=1/32", _check_square_convergence),
+    battery = [
+        ("lattice count vs enumeration", checks.lattice_vs_enumeration, (1001, 60)),
+        ("tooth count vs rectangle count", checks.tooth_vs_rect, (1002, 100)),
+        ("euler-maclaurin identity", checks.em_identity,
+         ([(50.0, 0.5), (100.0, 1.0), (400.0, 2.0), (1000.0, 1.0)],)),
+        ("crossover signs at 4/16/36", checks.crossover_signs, ([1.0],)),
+        ("closed-form delta below first cutoff", checks.closed_form_delta, (1003, 20)),
+        ("dtn positivity above cutoff", checks.dtn_positivity, (1004, 300)),
+        ("dtn nonpositive counts at 45/100", checks.dtn_counts, ()),
+        ("inertia vs dense lapack oracle", checks.inertia_vs_dense, (1005, 6, 3)),
+        ("inertia vs closed-form fd rectangle", checks.inertia_vs_closed_form,
+         ([(1, 1), (3, 3), (2, 7), (5, 4)], [0.5, 0.25, 0.1],
+          [0.0, 18.0, 19.0, 100.0, 500.0])),
+        ("unit square convergence at delta=1/32", checks.square_convergence, ([32],)),
     ]
     failures = 0
-    for name, fn in checks:
-        detail = fn()
+    for name, check, sample in battery:
+        detail = check(*sample)
         if detail is None:
             print(f"PASS {name}")
         else:
             failures += 1
             print(f"FAIL {name}: {detail}")
     if failures:
-        print(f"{failures} of {len(checks)} selftest checks failed")
+        print(f"{failures} of {len(battery)} selftest checks failed")
         return 1
-    print(f"all {len(checks)} selftest checks passed")
+    print(f"all {len(battery)} selftest checks passed")
     return 0
 
 

@@ -7,10 +7,11 @@ gives a symmetric positive definite operator on the interior nodes.
 
 Production counts (comb_inertia_count) never build that grid.  Removing the
 mouth row y = 1 leaves the square and q teeth, so Haynsworth inertia
-additivity gives n_fd(lam) = N_S + q*N_T + neg(Sigma), Sigma the Schur
-complement on the q*(s-1) mouth nodes.  When a pivot falls below a floor,
-lam sits on or next to an eigenvalue, and the count falls back to
-inertia_count on the assembled comb.
+additivity gives n_fd = N_S + q*N_T + neg(Sigma), Sigma the Schur
+complement on the q*(s-1) mouth nodes, all counted at theta =
+tie_threshold(lam), the "<=" convention of the exact counts.  Only when a
+block pivot at theta falls below a floor, theta on or next to an
+eigenvalue, does the count fall back to inertia_count on the assembled comb.
 
 inertia_count factors A - lam*I of an assembled operator with SuperLU in
 symmetric mode (minimum-degree ordering of A + A^T, diagonal pivots only),
@@ -428,10 +429,11 @@ def _block_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 def _schur_split(spec: DomainSpec, s: int,
                  lam: float) -> tuple[int, int, int] | None:
-    """(N_S, N_T, neg(Sigma)) at lam, or None where a pivot falls below the floor.
+    """(N_S, N_T, neg(Sigma)) at theta, or None where a pivot falls below the floor.
 
-    The square has (2qs-1)^2 nodes and each tooth (s-1) x (h_rows-1).  Each
-    block is diagonalised in x by a DST-I and left tridiagonal in y; the
+    All three count at theta = tie_threshold(lam), not at lam.  The square
+    has (2qs-1)^2 nodes and each tooth (s-1) x (h_rows-1).  Each block is
+    diagonalised in x by a DST-I and left tridiagonal in y; the
     continued fraction of each mode counts its negative pivots and gives the
     corner entry of its inverse, all that couples it to the mouth row.  One
     dense LDL^T of Sigma (LAPACK dsytrf, Bunch-Kaufman) counts the rest.
@@ -440,7 +442,7 @@ def _schur_split(spec: DomainSpec, s: int,
     """
     layout = comb_layout(spec, s)
     n = layout.x_cells
-    shift = _check_lam(lam) / (n * n)
+    shift = tie_threshold(_check_lam(lam)) / (n * n)
     floor = PIVOT_FLOOR_REL * 8.0
     j = np.arange(1, n)
     square = _continued_fraction(
@@ -480,12 +482,15 @@ def _schur_split(spec: DomainSpec, s: int,
 
 
 def comb_inertia_count(spec: DomainSpec, s: int, lam: float) -> SpectralCount:
-    """Count FD comb eigenvalues at or below lam without building the grid.
+    """Count FD comb eigenvalues at or below tie_threshold(lam) without the grid.
 
-    The count is N_S + q*N_T + neg(Sigma) from _schur_split, or, where that
-    meets a pivot below the floor (lam on or next to an eigenvalue of the
-    comb, the square or a tooth), inertia_count on the assembled comb.  The
-    grid checks and their messages are those of build_comb_grid.
+    The count is N_S + q*N_T + neg(Sigma) from _schur_split, with tie_tol
+    TIE_TOL like the record's exact counts.  Where a pivot at theta is below
+    the floor (theta on or next to an eigenvalue of the square, a tooth or
+    the comb) it is inertia_count on the assembled comb instead; if theta is
+    then also within rounding of a comb eigenvalue, the tie window cannot
+    settle it and FactorizationError follows.  The grid checks and their
+    messages are those of build_comb_grid.
     """
     split = _schur_split(spec, s, lam)
     if split is None:
@@ -493,7 +498,7 @@ def comb_inertia_count(spec: DomainSpec, s: int, lam: float) -> SpectralCount:
         return inertia_count(op, lam)
     n_square, n_tooth, n_sigma = split
     return SpectralCount(float(lam), n_square + spec.q * n_tooth + n_sigma,
-                         "fd_schur", 0.0)
+                         "fd_schur", TIE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,7 @@ def call(argv: list[str]) -> int:
 
 
 def record(argv: list[str], code: int, out: str, err: str) -> dict:
+    """One fixture entry; output is stored line by line so that diffs name lines."""
     return {"argv": argv, "code": code,
             "stdout": out.split("\n"), "stderr": err.split("\n")}
 

@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from combweyl import (DomainSpec, assemble_dirichlet_operator, build_comb_grid,
-                      build_rect_operator)
 from combweyl.lattice import FLOOR_GUARD, tie_threshold
 
 
@@ -63,24 +59,6 @@ def comb_membership_nodes(q: int, h: float, s: int) -> list[tuple[int, int]]:
             if inside:
                 nodes.append((j, i))
     return nodes
-
-
-def random_small_operator(rng: np.random.Generator):
-    """A random rectangle or comb operator with n <= 400, plus a description."""
-    if rng.random() < 0.5:
-        m = int(rng.integers(1, 17))
-        k = int(rng.integers(1, 17))
-        delta = float(rng.uniform(0.04, 0.6))
-        return (build_rect_operator(m, k, delta),
-                f"rect(m={m},k={k},delta={delta:.4f})")
-    while True:
-        q = int(rng.integers(1, 4))
-        s = int(rng.integers(1, 5))
-        h = float(rng.uniform(0.2, 2.0))
-        grid = build_comb_grid(DomainSpec(q, h), s)
-        if grid.n <= 400:
-            return (assemble_dirichlet_operator(grid),
-                    f"comb(q={q},s={s},h={h:.4f})")
 
 
 def exact_quadratic_fit(qs: list[int], counts: list[int]) -> tuple[Fraction, Fraction]:

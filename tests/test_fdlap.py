@@ -9,14 +9,22 @@ import scipy.sparse as sp
 from scipy.linalg import ldl
 
 from combweyl import DomainSpec, dtn, fdlap
-from combweyl.cli import _gap_midpoints as gap_midpoints
+from combweyl.checks import gap_midpoints, random_small_operator
 from combweyl.fdlap import (DENSE_MAX_N, PIVOT_FLOOR_REL, DiscreteOperator,
                             FactorizationError, MAX_QS,
                             assemble_dirichlet_operator, build_comb_grid,
                             build_rect_operator, comb_inertia_count,
                             comb_layout, dense_count, dense_eig_oracle,
                             fd_rect_count_closed_form, inertia_count)
-from helpers import comb_membership_nodes, random_small_operator
+from combweyl.lattice import TIE_TOL, tie_threshold
+from helpers import comb_membership_nodes
+
+
+def _rect_eig(m_cols, k_rows, delta, i, j):
+    """Closed-form FD eigenvalue (i, j) of an m_cols x k_rows rectangle."""
+    sx = math.sin(i * math.pi / (2.0 * (m_cols + 1))) ** 2
+    sy = math.sin(j * math.pi / (2.0 * (k_rows + 1))) ** 2
+    return (4.0 / (delta * delta)) * (sx + sy)
 
 
 class TestCombGrid:
@@ -221,18 +229,11 @@ class TestInertia:
         assert above.count == 1
         assert above.tie_tol == 0.0
 
-    @staticmethod
-    def _rect_eig(m_cols, k_rows, delta, i, j):
-        """Closed-form FD eigenvalue (i, j) of an m_cols x k_rows rectangle."""
-        sx = math.sin(i * math.pi / (2.0 * (m_cols + 1))) ** 2
-        sy = math.sin(j * math.pi / (2.0 * (k_rows + 1))) ** 2
-        return (4.0 / (delta * delta)) * (sx + sy)
-
     def test_exact_double_eigenvalue(self):
         # The (1,3)/(3,1) pair of the 6x6 grid: a shift 1e-9 above it passes
         # the pivot floor, yet unpivoted elimination there gives one negative
         # pivot too few.
-        lam = self._rect_eig(6, 6, 0.497301, 1, 3)
+        lam = _rect_eig(6, 6, 0.497301, 1, 3)
         op = build_rect_operator(6, 6, 0.497301)
         hit = inertia_count(op, lam)
         assert hit.count == fd_rect_count_closed_form(6, 6, 0.497301, lam).count
@@ -253,7 +254,7 @@ class TestInertia:
                 i, j = int(rng.integers(1, m + 1)), int(rng.integers(1, k + 1))
                 if square and i == j:
                     j = j % m + 1
-                lam = self._rect_eig(m, k, delta, i, j)
+                lam = _rect_eig(m, k, delta, i, j)
                 want = fd_rect_count_closed_form(m, k, delta, lam).count
                 assert inertia_count(op, lam).count == want, (m, k, delta, i, j)
 
@@ -274,7 +275,7 @@ class TestInertia:
 
     def test_unresolved_window_is_factorization_error(self, monkeypatch):
         monkeypatch.setattr(fdlap, "WINDOW_ITERATIONS", 0)
-        lam = self._rect_eig(6, 6, 0.497301, 1, 3)
+        lam = _rect_eig(6, 6, 0.497301, 1, 3)
         with pytest.raises(FactorizationError, match="not resolved"):
             inertia_count(build_rect_operator(6, 6, 0.497301), lam)
 
@@ -282,7 +283,7 @@ class TestInertia:
         # One solve with the broken-down factor at the tie all but finds its
         # eigenvectors, so a single refined step settles the (1,3)/(3,1) pair.
         monkeypatch.setattr(fdlap, "WINDOW_ITERATIONS", 1)
-        lam = self._rect_eig(6, 6, 0.497301, 1, 3)
+        lam = _rect_eig(6, 6, 0.497301, 1, 3)
         got = inertia_count(build_rect_operator(6, 6, 0.497301), lam)
         assert got.count == 6 and got.tie_tol > 0.0
 
@@ -350,11 +351,16 @@ class TestInertia:
                 assert dense_count(op, lam).count == want, (label, lam)
 
 
-def _rect_eig(m_cols, k_rows, delta, i, j):
-    """Closed-form FD eigenvalue (i, j) of an m_cols x k_rows rectangle."""
-    sx = math.sin(i * math.pi / (2.0 * (m_cols + 1))) ** 2
-    sy = math.sin(j * math.pi / (2.0 * (k_rows + 1))) ** 2
-    return (4.0 / (delta * delta)) * (sx + sy)
+def _block_ties(rng, spec, s):
+    """A random eigenvalue of the square block, and of a tooth block when it has rows."""
+    layout = comb_layout(spec, s)
+    cells, rows = layout.x_cells, layout.h_rows
+    ties = [_rect_eig(cells - 1, cells - 1, layout.delta,
+                      int(rng.integers(1, cells)), int(rng.integers(1, cells)))]
+    if rows >= 2:
+        ties.append(_rect_eig(s - 1, rows - 1, layout.delta,
+                              int(rng.integers(1, s)), int(rng.integers(1, rows))))
+    return ties
 
 
 def _sparse_count(spec, s, lam):
@@ -385,7 +391,7 @@ class TestCombInertiaCount:
         """Counter equals inertia_count; its parts obey the exact identities."""
         got = comb_inertia_count(spec, s, lam)
         assert got.count == _sparse_count(spec, s, lam).count, (spec, s, lam)
-        assert got.method == "fd_schur" and got.tie_tol == 0.0
+        assert got.method == "fd_schur" and got.tie_tol == TIE_TOL
         layout = comb_layout(spec, s)
         n_square, n_tooth, n_sigma = fdlap._schur_split(spec, s, lam)
         cells = layout.x_cells
@@ -432,31 +438,64 @@ class TestCombInertiaCount:
                     self.check_split(DomainSpec(q, h), s, lam)
 
     def test_ties_fall_back(self):
-        # Thresholds exactly on an eigenvalue of the square block, of a tooth
-        # block or of the comb itself.
+        # lam = lam0/(1 + TIE_TOL) puts theta on an eigenvalue lam0 of the
+        # square block or of a tooth block: a pivot at theta is below the
+        # floor, and the count is inertia_count's on the assembled comb, a
+        # FactorizationError included where lam0 is a comb eigenvalue too.
         rng = np.random.default_rng(63)
-        ties = 0
+        counted = 0
         for _ in range(25):
             q = int(rng.integers(1, 5))
             s = int(rng.integers(2, 6))
             spec = DomainSpec(q, float(rng.uniform(0.1, 1.5)))
-            layout = comb_layout(spec, s)
-            cells, rows = layout.x_cells, layout.h_rows
             op = assemble_dirichlet_operator(build_comb_grid(spec, s))
-            lams = [_rect_eig(cells - 1, cells - 1, layout.delta,
-                              int(rng.integers(1, cells)), int(rng.integers(1, cells)))]
-            if rows >= 2:
-                lams.append(_rect_eig(s - 1, rows - 1, layout.delta,
-                                      int(rng.integers(1, s)), int(rng.integers(1, rows))))
-            if op.n <= DENSE_MAX_N:
-                lams.extend(float(x) for x in rng.choice(dense_eig_oracle(op), 2))
-            for lam in lams:
-                got = comb_inertia_count(spec, s, lam)
+            for lam in (tie / (1.0 + TIE_TOL) for tie in _block_ties(rng, spec, s)):
                 assert fdlap._schur_split(spec, s, lam) is None, (spec, s, lam)
+                try:
+                    want = inertia_count(op, lam).count
+                except FactorizationError:
+                    with pytest.raises(FactorizationError):
+                        comb_inertia_count(spec, s, lam)
+                    continue
+                got = comb_inertia_count(spec, s, lam)
                 assert got.method == "fd_inertia"
-                assert got.count == inertia_count(op, lam).count, (spec, s, lam)
-                ties += 1
-        assert ties >= 60
+                assert got.count == want, (spec, s, lam)
+                counted += 1
+        assert counted >= 40
+
+    def test_theta_on_shared_eigenvalue_is_factorization_error(self):
+        # 1024 = 4/delta^2 at q = 2, s = 4 is a 15-fold eigenvalue of the
+        # square block and of the comb.  With theta on it the count falls
+        # back, and the tie window cannot settle eigenvalues on the threshold.
+        spec, s = DomainSpec(2, 1.0), 4
+        op = assemble_dirichlet_operator(build_comb_grid(spec, s))
+        assert np.count_nonzero(abs(dense_eig_oracle(op) - 1024.0) <= 1e-9) == 15
+        with pytest.raises(FactorizationError, match="not resolved"):
+            comb_inertia_count(spec, s, 1024.0 / (1.0 + TIE_TOL))
+        assert comb_inertia_count(spec, s, 1024.0).count == dense_count(op, 1024.0).count
+
+    def test_counts_at_theta_battery(self):
+        # Thresholds at and around two comb eigenvalues and one eigenvalue of
+        # the square and of a tooth block each, on 60 combs small enough for
+        # the dense oracle: every count is #(eigvalsh <= theta).
+        rng = np.random.default_rng(8)
+        compared = 0
+        for _ in range(60):
+            while True:
+                q, s = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+                spec = DomainSpec(q, float(rng.uniform(0.3, 1.5)))
+                grid = build_comb_grid(spec, s)
+                if grid.n <= DENSE_MAX_N:
+                    break
+            op = assemble_dirichlet_operator(grid)
+            eigs = dense_eig_oracle(op)
+            for tie in [float(x) for x in rng.choice(eigs, 2)] + _block_ties(rng, spec, s):
+                for rel in (-1e-12, 0.0, 1e-12, -3e-9, 3e-9):
+                    lam = tie * (1.0 + rel)
+                    want = np.count_nonzero(eigs <= tie_threshold(lam))
+                    assert comb_inertia_count(spec, s, lam).count == want, (spec, s, lam)
+                    compared += 1
+        assert compared >= 1000
 
     def test_zero_pivot_is_checked_before_division(self):
         floor = 8.0 * PIVOT_FLOOR_REL
@@ -511,8 +550,8 @@ class TestCombInertiaCount:
         monkeypatch.setattr(fdlap, "inertia_count", broken)
         layout = comb_layout(DomainSpec(1, 1.0), 2)
         tie = _rect_eig(3, 3, layout.delta, 1, 2)
-        with pytest.raises(FactorizationError):
-            comb_inertia_count(DomainSpec(1, 1.0), 2, tie)
+        with pytest.raises(FactorizationError, match="synthetic"):
+            comb_inertia_count(DomainSpec(1, 1.0), 2, tie / (1.0 + TIE_TOL))
 
     def test_validation_matches_grid(self):
         for s in (0, 2.0, True, MAX_QS // 64 + 1):
