@@ -52,11 +52,19 @@ COUNT_COMB = [
 CASES = ([["count", "comb", *args] for args in COUNT_COMB] + [
     ["constants", "--mu", "100", "--h", "1"],
     ["constants", "--mu", "1000", "--h", "1"],
+    ["constants", "--mu", "0", "--h", "1"],
+    ["constants", "--mu", "100", "--h", "nan"],
     ["count", "rect", "--a", "1", "--b", "1", "--lambda", "100"],
     ["count", "rect", "--a", "1", "--b", "2.5", "--lambda", "1000", "--neumann"],
+    ["count", "rect", "--a", "-1", "--b", "1", "--lambda", "10"],
+    ["count", "rect", "--a", "1", "--b", "inf", "--lambda", "10"],
+    ["count", "rect", "--a", "1", "--b", "1", "--lambda", "nan"],
     ["dtn", "--q", "1", "--h", "1", "--lambda", "45"],
     ["dtn", "--q", "3", "--h", "1", "--lambda", "900"],
     ["dtn", "--q", "2", "--h", "0.7", "--lambda", "800", "--k", "1"],
+    ["dtn", "--q", "1", "--h", "0", "--lambda", "45"],
+    ["dtn", "--q", "1", "--h", "1", "--lambda", "inf"],
+    ["dtn", "--q", "1", "--h", "1", "--lambda", "nan", "--k", "1"],
     ["selftest"],
 ])
 
