@@ -14,8 +14,8 @@ from .analytic import (ConstantReport, DomainSpec, EulerMaclaurinTerms,
 from .asymptotics import (ExperimentConfig, FitResult, SweepRecord,
                           defect_series, fit_constant, fmt17, run_sweep,
                           write_report)
-from .dtn import (DirichletPoleError, DtnMode, count_nonpositive_tooth,
-                  square_mixed_gap, tooth_mode, tooth_mode_eigenvalue)
+from .dtn import (DirichletPoleError, count_nonpositive_tooth, square_mixed_gap,
+                  tooth_mode_eigenvalue)
 from .fdlap import (CombGrid, CombLayout, DiscreteOperator, FactorizationError,
                     assemble_dirichlet_operator, build_comb_grid,
                     build_rect_operator, comb_inertia_count, comb_layout,
@@ -32,8 +32,8 @@ __all__ = [
     "weyl_constant",
     "ExperimentConfig", "FitResult", "SweepRecord", "defect_series",
     "fit_constant", "fmt17", "run_sweep", "write_report",
-    "DirichletPoleError", "DtnMode", "count_nonpositive_tooth",
-    "square_mixed_gap", "tooth_mode", "tooth_mode_eigenvalue",
+    "DirichletPoleError", "count_nonpositive_tooth", "square_mixed_gap",
+    "tooth_mode_eigenvalue",
     "CombGrid", "CombLayout", "DiscreteOperator", "FactorizationError",
     "assemble_dirichlet_operator", "build_comb_grid", "build_rect_operator",
     "comb_inertia_count", "comb_layout", "dense_count", "dense_eig_oracle",

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._args import finite_real, positive_real
+
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -49,8 +51,7 @@ class DomainSpec:
             raise ValueError(f"q must be an int, got {type(self.q).__name__}")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h)):
-            raise ValueError(f"h must be finite, got {self.h!r}")
+        finite_real("h", self.h)
         if self.h <= 0.0:
             raise ValueError(f"h must be > 0, got {self.h}")
 
@@ -103,21 +104,13 @@ class ConstantReport:
 # coefficient formulas
 # ---------------------------------------------------------------------------
 
-def _check_mu_h(mu: float, h: float) -> None:
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu)) or mu <= 0.0:
-        raise ValueError(f"mu must be finite and > 0, got {mu!r}")
-    if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
-
-
 def mode_cutoff(mu: float) -> int:
     """Number of tooth cross-modes below threshold: floor(sqrt(mu)/(2*pi)).
 
     This is the largest integer l with 4*pi^2*l^2 <= mu, i.e. the number of
     transverse tooth modes whose cutoff lies at or below mu.
     """
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu)) or mu <= 0.0:
-        raise ValueError(f"mu must be finite and > 0, got {mu!r}")
+    positive_real("mu", mu)
     return int(math.floor(math.sqrt(mu) / TWO_PI))
 
 
@@ -129,7 +122,8 @@ def weyl_constant(mu: float, h: float) -> float:
     identical and shares its leading term with theorem_constant, so the
     difference of the two stays fully accurate near its zero at mu = 16.
     """
-    _check_mu_h(mu, h)
+    positive_real("mu", mu)
+    positive_real("h", h)
     return mu / (4.0 * math.pi) + h * (mu - 4.0 * math.sqrt(mu)) / (8.0 * math.pi)
 
 
@@ -139,8 +133,8 @@ def theorem_constant(mu: float, h: float) -> float:
     c(mu) = mu/(4*pi) + (h/pi)*sqrt(mu) * sum_{l=1}^{m} sqrt(1 - 4*pi^2*l^2/mu)
     with m = mode_cutoff(mu).  The sum is accumulated with math.fsum.
     """
-    _check_mu_h(mu, h)
-    m = mode_cutoff(mu)
+    m = mode_cutoff(mu)  # checks mu before h
+    positive_real("h", h)
     terms = []
     for l in range(1, m + 1):
         r = 1.0 - FOUR_PI_SQ * l * l / mu
@@ -151,7 +145,6 @@ def theorem_constant(mu: float, h: float) -> float:
 
 def constant_report(mu: float, h: float) -> ConstantReport:
     """Evaluate c, c_weyl, and delta = c - c_weyl at one (mu, h)."""
-    _check_mu_h(mu, h)
     c = theorem_constant(mu, h)
     cw = weyl_constant(mu, h)
     return ConstantReport(mu=float(mu), h=float(h), cutoff_m=mode_cutoff(mu),
@@ -211,8 +204,8 @@ def em_decomposition(mu: float, h: float) -> ConstantReport:
     mu >= 4*pi^2 so that at least one mode propagates; below that threshold
     delta reduces to the elementary closed form h*(4*sqrt(mu) - mu)/(8*pi).
     """
-    _check_mu_h(mu, h)
-    m = mode_cutoff(mu)
+    base = constant_report(mu, h)
+    m = base.cutoff_m
     if m < 1:
         raise ValueError(
             f"em_decomposition requires mu >= 4*pi^2 (~{FOUR_PI_SQ:.6f}), got {mu!r}")
@@ -221,7 +214,6 @@ def em_decomposition(mu: float, h: float) -> ConstantReport:
     endpoint = 0.5 * math.sqrt(max(0.0, fm_sq))
     tail = _segment_integral(a, m)
     periodic = _periodic_part(a, m)
-    base = constant_report(mu, h)
     return ConstantReport(mu=base.mu, h=base.h, cutoff_m=m, c=base.c,
                           c_weyl=base.c_weyl, delta=base.delta,
                           em_terms=EulerMaclaurinTerms(endpoint, tail, periodic))

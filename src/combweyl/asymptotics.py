@@ -18,19 +18,25 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter
 
 import numpy as np
 
+from ._args import positive_int, positive_real
 from .analytic import ConstantReport, DomainSpec
 from .dtn import count_nonpositive_tooth, square_mixed_gap
 from .fdlap import MAX_QS, FactorizationError, comb_inertia_count, comb_layout
 from .lattice import UNIT_SQUARE, count_rect_dirichlet, count_tooth
 
-CSV_HEADER = ["mu", "h", "q", "s", "lambda", "n_fd", "n_square", "n_teeth",
-              "defect", "h_snapped", "wall_time_s", "error"]
+# Report columns in order, as (CSV header and JSON key, SweepRecord attribute).
+_FIELDS = (("mu", "mu"), ("h", "h"), ("q", "q"), ("s", "s"), ("lambda", "lam"),
+           ("n_fd", "n_fd"), ("n_square", "n_square"), ("n_teeth", "n_teeth"),
+           ("defect", "defect"), ("h_snapped", "h_snapped"),
+           ("wall_time_s", "wall_time_s"), ("error", "error"))
+CSV_HEADER = [key for key, _ in _FIELDS]
+_record_values = attrgetter(*(attr for _, attr in _FIELDS))
 
 
 def fmt17(x: float) -> str:
@@ -61,19 +67,11 @@ class ExperimentConfig:
     out_path: str = ""
 
     def __post_init__(self) -> None:
-        mu_norm = []
-        for i, mu in enumerate(self.mu_list):
-            if isinstance(mu, bool) or not isinstance(mu, (int, float)) \
-                    or not math.isfinite(mu) or mu <= 0.0:
-                raise ValueError(f"mu_list[{i}] must be finite and > 0, got {mu!r}")
-            mu_norm.append(float(mu))
-        if isinstance(self.h, bool) or not isinstance(self.h, (int, float)) \
-                or not math.isfinite(self.h) or self.h <= 0.0:
-            raise ValueError(f"h must be finite and > 0, got {self.h!r}")
+        mu_norm = [positive_real(f"mu_list[{i}]", mu) for i, mu in enumerate(self.mu_list)]
+        h = positive_real("h", self.h)
         for name, seq in (("q_list", self.q_list), ("s_list", self.s_list)):
             for i, v in enumerate(seq):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise ValueError(f"{name}[{i}] must be an int >= 1, got {v!r}")
+                positive_int(f"{name}[{i}]", v)
         if not isinstance(self.out_path, str):
             raise ValueError(f"out_path must be a string, got {self.out_path!r}")
         if self.q_list and self.s_list:
@@ -83,7 +81,7 @@ class ExperimentConfig:
                     f"q_list/s_list exceed the grid guard: max(q)*max(s) = "
                     f"{worst} > {MAX_QS}")
         object.__setattr__(self, "mu_list", tuple(sorted(set(mu_norm))))
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "q_list", tuple(sorted(set(self.q_list))))
         object.__setattr__(self, "s_list", tuple(sorted(set(self.s_list))))
 
@@ -216,22 +214,11 @@ def defect_series(records: list[SweepRecord]) -> list[tuple[int, int, int]]:
 # report files
 # ---------------------------------------------------------------------------
 
-def _record_cells(r: SweepRecord) -> list[str]:
-    def opt_int(v: int | None) -> str:
-        return "" if v is None else str(v)
-
-    return [fmt17(r.mu), fmt17(r.h), str(r.q), str(r.s), fmt17(r.lam),
-            opt_int(r.n_fd), opt_int(r.n_square), opt_int(r.n_teeth),
-            opt_int(r.defect),
-            "" if r.h_snapped is None else fmt17(r.h_snapped),
-            fmt17(r.wall_time_s), r.error or ""]
-
-
-def _record_obj(r: SweepRecord) -> dict:
-    return {"mu": r.mu, "h": r.h, "q": r.q, "s": r.s, "lambda": r.lam,
-            "n_fd": r.n_fd, "n_square": r.n_square, "n_teeth": r.n_teeth,
-            "defect": r.defect, "h_snapped": r.h_snapped,
-            "wall_time_s": r.wall_time_s, "error": r.error}
+def _cell(v: object) -> str:
+    """A CSV cell: None is empty, a float has 17 significant digits."""
+    if v is None:
+        return ""
+    return fmt17(v) if isinstance(v, float) else str(v)
 
 
 def _render_json(value, level: int = 0) -> str:
@@ -286,7 +273,7 @@ def write_report(config: ExperimentConfig, records: list[SweepRecord],
         "config": {"mu_list": list(config.mu_list), "h": config.h,
                    "q_list": list(config.q_list), "s_list": list(config.s_list),
                    "out_path": config.out_path},
-        "records": [_record_obj(r) for r in records],
+        "records": [dict(zip(CSV_HEADER, _record_values(r))) for r in records],
         "fits": {fmt17(mu): {"c_hat": f.c_hat, "beta_hat": f.beta_hat,
                              "residual_max": f.residual_max}
                  for mu, f in sorted(fits.items())},
@@ -299,7 +286,7 @@ def write_report(config: ExperimentConfig, records: list[SweepRecord],
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             for r in records:
-                writer.writerow(_record_cells(r))
+                writer.writerow([_cell(v) for v in _record_values(r)])
         with open(json_path, "w", newline="", encoding="utf-8") as f:
             f.write(_render_json(report) + "\n")
     except OSError as exc:

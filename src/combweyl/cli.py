@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import analytic, checks, dtn, fdlap, lattice
+from ._args import finite_real
 from .analytic import DomainSpec
 from .asymptotics import ExperimentConfig, fit_constant, fmt17, run_sweep, write_report
 
@@ -134,20 +135,20 @@ def _cmd_count_comb(args: argparse.Namespace) -> int:
 
 
 def _cmd_dtn(args: argparse.Namespace) -> int:
+    finite_real("lambda", args.lam)
     if args.k is not None:
-        mode = dtn.tooth_mode(args.k, args.q, args.h, args.lam)
-        if mode.is_pole:
-            print(f"k = {args.k} rho = pole")
-        else:
-            print(f"k = {args.k} rho = {fmt17(mode.rho)}")
-        return 0
-    mu = args.lam / (args.q * args.q)
-    cutoff = analytic.mode_cutoff(mu) if mu > 0 else 0
-    for k in range(1, cutoff + 1):
-        mode = dtn.tooth_mode(k, args.q, args.h, args.lam)
-        rho_text = "pole" if mode.is_pole else fmt17(mode.rho)
+        ks = [args.k]
+    else:
+        mu = args.lam / (args.q * args.q)
+        ks = range(1, (analytic.mode_cutoff(mu) if mu > 0 else 0) + 1)
+    for k in ks:
+        try:
+            rho_text = fmt17(dtn.tooth_mode_eigenvalue(k, args.q, args.h, args.lam))
+        except dtn.DirichletPoleError:
+            rho_text = "pole"
         print(f"k = {k} rho = {rho_text}")
-    print(f"count_nonpositive = {dtn.count_nonpositive_tooth(args.q, args.h, args.lam)}")
+    if args.k is None:
+        print(f"count_nonpositive = {dtn.count_nonpositive_tooth(args.q, args.h, args.lam)}")
     return 0
 
 

@@ -14,8 +14,8 @@ Dirichlet counts on the unit square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._args import finite_real, positive_int, positive_real
 from .analytic import FOUR_PI_SQ, mode_cutoff
 from .lattice import UNIT_SQUARE, count_rect_dirichlet, count_rect_neumann
 
@@ -26,37 +26,6 @@ POLE_TOL = 1e-12
 
 class DirichletPoleError(ValueError):
     """Raised when lam sits on a Dirichlet eigenvalue of the tooth mode, where rho blows up."""
-
-
-@dataclass(frozen=True)
-class DtnMode:
-    """One transverse tooth mode and its Dirichlet-to-Neumann value.
-
-    rho is None exactly when lam is a Dirichlet eigenvalue of the mode's 1-D
-    problem (a pole of the Dirichlet-to-Neumann map).
-    """
-
-    k: int
-    q: int
-    h: float
-    lam: float
-    rho: float | None
-
-    @property
-    def is_pole(self) -> bool:
-        return self.rho is None
-
-
-def _check_h_lam(h: float, lam: float) -> None:
-    if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
-
-
-def _check_pos_int(name: str, v: int) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {v!r}")
 
 
 def _rho(k: int, q: int, h: float, lam: float) -> float:
@@ -90,19 +59,11 @@ def tooth_mode_eigenvalue(k: int, q: int, h: float, lam: float) -> float:
     Raises DirichletPoleError when sin(omega*h) vanishes to POLE_TOL
     (relative to max(1, omega*h)), i.e. at a pole of rho.
     """
-    _check_pos_int("k", k)
-    _check_pos_int("q", q)
-    _check_h_lam(h, lam)
+    positive_int("k", k)
+    positive_int("q", q)
+    positive_real("h", h)
+    finite_real("lambda", lam)
     return _rho(k, q, h, lam)
-
-
-def tooth_mode(k: int, q: int, h: float, lam: float) -> DtnMode:
-    """Like tooth_mode_eigenvalue but returns a DtnMode, mapping poles to rho=None."""
-    try:
-        rho = tooth_mode_eigenvalue(k, q, h, lam)
-    except DirichletPoleError:
-        return DtnMode(k=k, q=q, h=float(h), lam=float(lam), rho=None)
-    return DtnMode(k=k, q=q, h=float(h), lam=float(lam), rho=rho)
 
 
 def count_nonpositive_tooth(q: int, h: float, lam: float) -> int:
@@ -112,8 +73,9 @@ def count_nonpositive_tooth(q: int, h: float, lam: float) -> int:
     are checked once, h included even when no mode propagates; a pole inside
     the range propagates as DirichletPoleError.
     """
-    _check_pos_int("q", q)
-    _check_h_lam(h, lam)
+    positive_int("q", q)
+    positive_real("h", h)
+    finite_real("lambda", lam)
     if lam <= 0.0:
         return 0
     cutoff = mode_cutoff(lam / (q * q))

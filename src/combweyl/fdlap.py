@@ -40,8 +40,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._args import finite_real, positive_int, positive_real
 from .analytic import DomainSpec
-from .lattice import TIE_TOL, SpectralCount, _check_lam, tie_threshold
+from .lattice import TIE_TOL, SpectralCount, tie_threshold
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -79,23 +80,15 @@ class CombGrid:
 
     node_index[j, i] is the id of the node at (i*delta, j*delta), or -1 off
     the interior.  Ids run row-major, y upward and x rightward: square rows,
-    then the interface row y = 1 (tooth openings only), then tooth rows.
-    Node k sits at (xi[k]*delta, yi[k]*delta).
+    then the interface row y = 1 (tooth openings only), then tooth rows,
+    so np.nonzero(node_index >= 0) lists the (j, i) of the nodes in id order.
     """
 
-    spec: DomainSpec
-    s: int
     delta: float
     h_snapped: float
     n: int
     degenerate_teeth: bool
     node_index: np.ndarray
-    xi: np.ndarray
-    yi: np.ndarray
-
-    def coords(self) -> np.ndarray:
-        """Node positions as an (n, 2) float array of (x, y)."""
-        return np.column_stack((self.xi * self.delta, self.yi * self.delta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +138,7 @@ def comb_layout(spec: DomainSpec, s: int) -> CombLayout:
 
     Teeth are degenerate when s = 1 (no interior columns) or h snaps to 0 rows.
     """
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"s must be an int >= 1, got {s!r}")
+    positive_int("s", s)
     if spec.q * s > MAX_QS:
         raise ValueError(
             f"resource guard: q*s must be <= {MAX_QS}, got {spec.q * s}")
@@ -176,13 +168,11 @@ def build_comb_grid(spec: DomainSpec, s: int) -> CombGrid:
         # Rows y = 1 (the open tooth mouths) through y = 1 + h_snapped - delta.
         mask[x_cells : x_cells + h_rows, :] = tooth_cols
 
-    yi, xi = np.nonzero(mask)
-    n = xi.shape[0]
+    n = int(np.count_nonzero(mask))
     node_index = np.full(mask.shape, -1, dtype=np.int64)
-    node_index[yi, xi] = np.arange(n, dtype=np.int64)
-    return CombGrid(spec=spec, s=s, delta=delta, h_snapped=layout.h_snapped, n=n,
-                    degenerate_teeth=degenerate, node_index=node_index,
-                    xi=xi, yi=yi)
+    node_index[mask] = np.arange(n, dtype=np.int64)
+    return CombGrid(delta=delta, h_snapped=layout.h_snapped, n=n,
+                    degenerate_teeth=degenerate, node_index=node_index)
 
 
 def _assemble_from_index(node_index: np.ndarray, delta: float) -> DiscreteOperator:
@@ -216,22 +206,15 @@ def assemble_dirichlet_operator(grid: CombGrid) -> DiscreteOperator:
     return _assemble_from_index(grid.node_index, grid.delta)
 
 
-def _check_rect_grid(m_cols: int, k_rows: int, delta: float) -> None:
-    """Reject a rectangle grid unless m_cols, k_rows are ints >= 1 and delta > 0 is finite."""
-    for name, v in (("m_cols", m_cols), ("k_rows", k_rows)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta)) or delta <= 0.0:
-        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-
-
 def build_rect_operator(m_cols: int, k_rows: int, delta: float) -> DiscreteOperator:
     """5-point Dirichlet Laplacian on an m_cols x k_rows interior rectangle grid.
 
     The rectangle has sides (m_cols+1)*delta by (k_rows+1)*delta; nodes are
     ordered row-major by y then x.
     """
-    _check_rect_grid(m_cols, k_rows, delta)
+    positive_int("m_cols", m_cols)
+    positive_int("k_rows", k_rows)
+    positive_real("delta", delta)
     if m_cols * k_rows > MAX_QS * MAX_QS:
         raise ValueError(
             f"resource guard: m_cols*k_rows must be <= {MAX_QS * MAX_QS}")
@@ -327,7 +310,7 @@ def inertia_count(op: DiscreteOperator, lam: float) -> SpectralCount:
     """
     import scipy.sparse as sp
 
-    lam = _check_lam(lam)
+    lam = finite_real("lambda", lam)
     pivot_floor = PIVOT_FLOOR_REL * op.norm_inf
     # A is symmetric, so its CSR arrays serve as CSC; shifts edit one copy's diagonal.
     m, diag = op.matrix, op.diagonal_positions
@@ -442,7 +425,7 @@ def _schur_split(spec: DomainSpec, s: int,
     """
     layout = comb_layout(spec, s)
     n = layout.x_cells
-    shift = tie_threshold(_check_lam(lam)) / (n * n)
+    shift = tie_threshold(finite_real("lambda", lam)) / (n * n)
     floor = PIVOT_FLOOR_REL * 8.0
     j = np.arange(1, n)
     square = _continued_fraction(
@@ -513,8 +496,10 @@ def fd_rect_count_closed_form(m_cols: int, k_rows: int, delta: float,
     (4/delta^2) * (sin^2(m*pi/(2*(m_cols+1))) + sin^2(k*pi/(2*(k_rows+1))))
     for 1 <= m <= m_cols, 1 <= k <= k_rows.
     """
-    _check_rect_grid(m_cols, k_rows, delta)
-    lam = _check_lam(lam)
+    positive_int("m_cols", m_cols)
+    positive_int("k_rows", k_rows)
+    positive_real("delta", delta)
+    lam = finite_real("lambda", lam)
     sx = np.sin(np.arange(1, m_cols + 1) * (math.pi / (2.0 * (m_cols + 1)))) ** 2
     sy = np.sin(np.arange(1, k_rows + 1) * (math.pi / (2.0 * (k_rows + 1)))) ** 2
     vals = (4.0 / (delta * delta)) * (sx[:, None] + sy[None, :])
@@ -539,7 +524,7 @@ def dense_eig_oracle(op: DiscreteOperator) -> np.ndarray:
 
 def dense_count(op: DiscreteOperator, lam: float) -> SpectralCount:
     """Eigenvalue count at or below lam taken from the dense LAPACK oracle."""
-    lam = _check_lam(lam)
+    lam = finite_real("lambda", lam)
     eigs = dense_eig_oracle(op)
     count = int(np.count_nonzero(eigs <= tie_threshold(lam)))
     return SpectralCount(lam, count, "dense_oracle", TIE_TOL)

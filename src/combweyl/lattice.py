@@ -23,6 +23,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
+from ._args import finite_real, positive_real
 from .analytic import DomainSpec
 
 # Relative fuzz applied to the threshold: eigenvalues in
@@ -49,9 +50,8 @@ class RectSpec:
     b: float
 
     def __post_init__(self) -> None:
-        for name, v in (("a", self.a), ("b", self.b)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        positive_real("a", self.a)
+        positive_real("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,6 @@ class SpectralCount:
 
 
 UNIT_SQUARE = RectSpec(1.0, 1.0)
-
-
-def _check_lam(lam: float) -> float:
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
-    return float(lam)
 
 
 def tie_threshold(lam: float) -> float:
@@ -118,7 +112,7 @@ def count_rect_dirichlet(rect: RectSpec, lam: float) -> SpectralCount:
     For each m >= 1 with pi^2*m^2/a^2 below the fuzzed threshold, the number
     of admissible n >= 1 is floor(b*sqrt(remainder)/pi).
     """
-    lam = _check_lam(lam)
+    lam = finite_real("lambda", lam)
     if lam <= 0.0:
         return SpectralCount(lam, 0, "lattice", TIE_TOL)
     lam_eff = tie_threshold(lam)
@@ -135,7 +129,7 @@ def count_rect_dirichlet(rect: RectSpec, lam: float) -> SpectralCount:
 
 def count_rect_neumann(rect: RectSpec, lam: float) -> SpectralCount:
     """Count Neumann eigenvalues of rect at or below lam (indices m, n >= 0)."""
-    lam = _check_lam(lam)
+    lam = finite_real("lambda", lam)
     if lam < 0.0:
         return SpectralCount(lam, 0, "lattice", TIE_TOL)
     lam_eff = tie_threshold(lam)
@@ -159,7 +153,7 @@ def count_tooth(spec: DomainSpec, lam: float) -> SpectralCount:
     over propagating l of floor((q*h/pi)*sqrt(mu - 4*pi^2*l^2)) at mu = lam/q^2.
     Floor arguments are expanded by FLOOR_GUARD before truncation.
     """
-    lam = _check_lam(lam)
+    lam = finite_real("lambda", lam)
     if lam <= 0.0:
         return SpectralCount(lam, 0, "lattice", FLOOR_GUARD)
     mu = lam / (spec.q * spec.q)
@@ -183,7 +177,7 @@ def enumerate_rect_eigs(rect: RectSpec, lam: float, max_count: int = 1_000_000) 
     independent of the closed-form column counts so the two can cross-check
     each other.  Raises if more than max_count eigenvalues qualify.
     """
-    lam = _check_lam(lam)
+    lam = finite_real("lambda", lam)
     if lam <= 0.0:
         return []
     lam_eff = tie_threshold(lam)

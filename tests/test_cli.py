@@ -132,7 +132,7 @@ class TestDtn:
         code, out, _ = run(capsys, ["dtn", "--q", "1", "--h", "1",
                                     "--lambda", "100", "--k", "1"])
         assert code == 0
-        want = dtn.tooth_mode(1, 1, 1.0, 100.0).rho
+        want = dtn.tooth_mode_eigenvalue(1, 1, 1.0, 100.0)
         assert out.strip() == f"k = 1 rho = {fmt17(want)}"
 
     def test_all_modes_with_count(self, capsys):

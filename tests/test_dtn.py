@@ -7,7 +7,7 @@ import pytest
 
 from combweyl.analytic import FOUR_PI_SQ, mode_cutoff
 from combweyl.dtn import (DirichletPoleError, count_nonpositive_tooth,
-                          square_mixed_gap, tooth_mode, tooth_mode_eigenvalue)
+                          square_mixed_gap, tooth_mode_eigenvalue)
 from helpers import rho_shooting
 
 # Frozen values, precomputed at 50-digit precision.
@@ -113,15 +113,6 @@ class TestPoles:
         lam = FOUR_PI_SQ + math.pi ** 2
         with pytest.raises(DirichletPoleError):
             tooth_mode_eigenvalue(1, 1, 1.0, lam)
-
-    def test_tooth_mode_maps_pole_to_none(self):
-        lam = FOUR_PI_SQ + math.pi ** 2
-        mode = tooth_mode(1, 1, 1.0, lam)
-        assert mode.is_pole
-        assert mode.rho is None
-        regular = tooth_mode(1, 1, 1.0, 100.0)
-        assert not regular.is_pole
-        assert regular.rho == pytest.approx(RHO_K1_LAM100, rel=1e-12)
 
     def test_pole_propagates_through_count(self):
         lam = FOUR_PI_SQ + math.pi ** 2

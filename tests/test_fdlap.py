@@ -27,6 +27,13 @@ def _rect_eig(m_cols, k_rows, delta, i, j):
     return (4.0 / (delta * delta)) * (sx + sy)
 
 
+def _grid_nodes(grid):
+    """(yi, xi) of the grid's nodes in id order, read from node_index."""
+    yi, xi = np.nonzero(grid.node_index >= 0)
+    np.testing.assert_array_equal(grid.node_index[yi, xi], np.arange(grid.n))
+    return yi, xi
+
+
 class TestCombGrid:
     def test_thirteen_node_example(self):
         grid = build_comb_grid(DomainSpec(1, 1.0), 2)
@@ -34,7 +41,8 @@ class TestCombGrid:
         assert grid.delta == 0.25
         assert grid.h_snapped == 1.0
         assert not grid.degenerate_teeth
-        coords = grid.coords()
+        yi, xi = _grid_nodes(grid)
+        coords = np.column_stack((xi, yi)) * grid.delta
         # 9 square-interior nodes, then the interface node at (0.25, 1),
         # then 3 tooth nodes straight above it.
         assert coords.shape == (13, 2)
@@ -43,8 +51,8 @@ class TestCombGrid:
         assert all(coords[i, 1] <= coords[i + 1, 1] for i in range(12))
 
     def test_row_major_ordering(self):
-        grid = build_comb_grid(DomainSpec(2, 0.9), 3)
-        order = list(zip(grid.yi.tolist(), grid.xi.tolist()))
+        yi, xi = _grid_nodes(build_comb_grid(DomainSpec(2, 0.9), 3))
+        order = list(zip(yi.tolist(), xi.tolist()))
         assert order == sorted(order)
 
     def test_matches_membership_oracle(self):
@@ -56,7 +64,8 @@ class TestCombGrid:
             grid = build_comb_grid(DomainSpec(q, h), s)
             oracle = comb_membership_nodes(q, h, s)
             assert grid.n == len(oracle)
-            assert list(zip(grid.yi.tolist(), grid.xi.tolist())) == oracle
+            yi, xi = _grid_nodes(grid)
+            assert list(zip(yi.tolist(), xi.tolist())) == oracle
 
     def test_node_count_formula(self):
         for q, s, h in ((1, 2, 1.0), (2, 2, 1.0), (3, 4, 0.7), (2, 5, 1.3)):
@@ -67,8 +76,8 @@ class TestCombGrid:
 
     def test_interface_row_is_interior(self):
         # Nodes at y = 1 exist exactly over the open tooth mouths.
-        grid = build_comb_grid(DomainSpec(2, 1.0), 2)
-        at_interface = grid.xi[grid.yi == 8]  # y = 1 is row 8 when delta = 1/8
+        yi, xi = _grid_nodes(build_comb_grid(DomainSpec(2, 1.0), 2))
+        at_interface = xi[yi == 8]  # y = 1 is row 8 when delta = 1/8
         assert at_interface.tolist() == [1, 5]
 
     def test_h_snapping(self):
@@ -86,7 +95,8 @@ class TestCombGrid:
         assert grid.degenerate_teeth
         assert grid.delta == 0.5
         assert grid.n == 1
-        np.testing.assert_allclose(grid.coords(), [[0.5, 0.5]])
+        yi, xi = _grid_nodes(grid)
+        np.testing.assert_allclose(np.column_stack((xi, yi)) * grid.delta, [[0.5, 0.5]])
 
     def test_degenerate_at_tiny_h(self):
         # h below delta/2 snaps to zero tooth rows.
