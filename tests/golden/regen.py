@@ -36,6 +36,10 @@ COUNT_COMB = [
     ["--q", "2", "--mu", "250", "--h", "0.75", "--refine", "3"],
     ["--q", "1", "--mu", "0", "--h", "1", "--refine", "2"],
     ["--q", "1", "--mu", SQUARE_BLOCK_TIE, "--h", "1", "--refine", "1"],
+    # theta on a square-block eigenvalue, no comb eigenvalue within 1e-2
+    ["--q", "2", "--mu", "46.68172474863997", "--h", "1", "--refine", "1"],
+    # theta within 2e-16 relative of a comb eigenvalue: no count is certified
+    ["--q", "1", "--mu", "41.37258296065789", "--h", "1", "--refine", "1"],
     ["--q", "1", "--mu", "nan", "--h", "1", "--refine", "2"],
     ["--q", "1", "--mu", "inf", "--h", "1", "--refine", "2"],
     ["--q", "1", "--mu=-inf", "--h", "1", "--refine", "2"],
