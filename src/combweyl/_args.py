@@ -2,12 +2,14 @@
 
 Each check takes the argument's name and value and raises ValueError with
 a message naming both.  A real is an int or a float (numpy's float64
-included); bool is rejected although it is an int.
+included), and an int anything operator.index takes (numpy's integers
+included); bool is rejected as either, although it is an int.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 
 def _is_real(v: object) -> bool:
@@ -29,7 +31,15 @@ def positive_real(name: str, v: float) -> float:
 
 
 def positive_int(name: str, v: int) -> int:
-    """v, or ValueError unless v is an int >= 1."""
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+    """v as a plain int, or ValueError unless v is an integer >= 1.
+
+    An integer is anything operator.index takes (numpy's integers included)
+    but bool.
+    """
+    try:
+        i = operator.index(v)
+    except TypeError:
+        i = 0
+    if isinstance(v, bool) or i < 1:
         raise ValueError(f"{name} must be an int >= 1, got {v!r}")
-    return v
+    return i

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._args import finite_real, positive_real
+from ._args import finite_real, positive_int, positive_real
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -47,10 +47,7 @@ class DomainSpec:
     h: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or isinstance(self.q, bool):
-            raise ValueError(f"q must be an int, got {type(self.q).__name__}")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        object.__setattr__(self, "q", positive_int("q", self.q))
         finite_real("h", self.h)
         if self.h <= 0.0:
             raise ValueError(f"h must be > 0, got {self.h}")
@@ -127,27 +124,32 @@ def weyl_constant(mu: float, h: float) -> float:
     return mu / (4.0 * math.pi) + h * (mu - 4.0 * math.sqrt(mu)) / (8.0 * math.pi)
 
 
-def theorem_constant(mu: float, h: float) -> float:
-    """True count coefficient: bulk term plus one term per propagating tooth mode.
-
-    c(mu) = mu/(4*pi) + (h/pi)*sqrt(mu) * sum_{l=1}^{m} sqrt(1 - 4*pi^2*l^2/mu)
-    with m = mode_cutoff(mu).  The sum is accumulated with math.fsum.
-    """
-    m = mode_cutoff(mu)  # checks mu before h
+def _theorem_constant_and_cutoff(mu: float, h: float) -> tuple[float, int]:
+    """(theorem_constant(mu, h), mode_cutoff(mu)), checking mu before h."""
+    m = mode_cutoff(mu)
     positive_real("h", h)
     terms = []
     for l in range(1, m + 1):
         r = 1.0 - FOUR_PI_SQ * l * l / mu
         # Clip the tiny negative that floor-boundary rounding can produce.
         terms.append(math.sqrt(r) if r > 0.0 else 0.0)
-    return mu / (4.0 * math.pi) + (h / math.pi) * math.sqrt(mu) * math.fsum(terms)
+    return mu / (4.0 * math.pi) + (h / math.pi) * math.sqrt(mu) * math.fsum(terms), m
+
+
+def theorem_constant(mu: float, h: float) -> float:
+    """True count coefficient: bulk term plus one term per propagating tooth mode.
+
+    c(mu) = mu/(4*pi) + (h/pi)*sqrt(mu) * sum_{l=1}^{m} sqrt(1 - 4*pi^2*l^2/mu)
+    with m = mode_cutoff(mu).  The sum is accumulated with math.fsum.
+    """
+    return _theorem_constant_and_cutoff(mu, h)[0]
 
 
 def constant_report(mu: float, h: float) -> ConstantReport:
     """Evaluate c, c_weyl, and delta = c - c_weyl at one (mu, h)."""
-    c = theorem_constant(mu, h)
+    c, m = _theorem_constant_and_cutoff(mu, h)
     cw = weyl_constant(mu, h)
-    return ConstantReport(mu=float(mu), h=float(h), cutoff_m=mode_cutoff(mu),
+    return ConstantReport(mu=float(mu), h=float(h), cutoff_m=m,
                           c=c, c_weyl=cw, delta=c - cw)
 
 

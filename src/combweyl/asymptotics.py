@@ -69,21 +69,20 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         mu_norm = [positive_real(f"mu_list[{i}]", mu) for i, mu in enumerate(self.mu_list)]
         h = positive_real("h", self.h)
-        for name, seq in (("q_list", self.q_list), ("s_list", self.s_list)):
-            for i, v in enumerate(seq):
-                positive_int(f"{name}[{i}]", v)
+        q_norm = [positive_int(f"q_list[{i}]", q) for i, q in enumerate(self.q_list)]
+        s_norm = [positive_int(f"s_list[{i}]", s) for i, s in enumerate(self.s_list)]
         if not isinstance(self.out_path, str):
             raise ValueError(f"out_path must be a string, got {self.out_path!r}")
-        if self.q_list and self.s_list:
-            worst = max(self.q_list) * max(self.s_list)
+        if q_norm and s_norm:
+            worst = max(q_norm) * max(s_norm)
             if worst > MAX_QS:
                 raise ValueError(
                     f"q_list/s_list exceed the grid guard: max(q)*max(s) = "
                     f"{worst} > {MAX_QS}")
         object.__setattr__(self, "mu_list", tuple(sorted(set(mu_norm))))
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "q_list", tuple(sorted(set(self.q_list))))
-        object.__setattr__(self, "s_list", tuple(sorted(set(self.s_list))))
+        object.__setattr__(self, "q_list", tuple(sorted(set(q_norm))))
+        object.__setattr__(self, "s_list", tuple(sorted(set(s_norm))))
 
 
 @dataclass(frozen=True)

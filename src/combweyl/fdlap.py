@@ -9,22 +9,23 @@ Production counts (comb_inertia_count) never build that grid.  Removing the
 mouth row y = 1 leaves the square and q teeth, so Haynsworth inertia
 additivity gives n_fd = N_S + q*N_T + neg(Sigma), Sigma the Schur
 complement on the q*(s-1) mouth nodes, all counted at theta =
-tie_threshold(lam), the "<=" convention of the exact counts.  Only when a
-block pivot at theta falls below a floor, theta on or next to an
-eigenvalue, does the count fall back to inertia_count on the assembled comb.
+tie_threshold(lam), the "<=" convention of the exact counts.  A mode
+whose pivot at theta falls below a floor is bordered into Sigma from that
+pivot on instead; within rounding of a comb eigenvalue the count raises.
 
-inertia_count factors A - lam*I of an assembled operator with SuperLU in
-symmetric mode (minimum-degree ordering of A + A^T, diagonal pivots only),
-an LDL^T factorization whose negative pivots count the eigenvalues below
-lam (Sylvester's law of inertia).  A threshold exactly on an eigenvalue
-breaks it down; the count is then taken at the edges of a narrow window
-around lam, and the few eigenvalues inside are resolved by block inverse
-iteration with the factor at the lower edge, from a start block solved once
-with the broken-down factor at lam when SuperLU produced one, each counted
-once a Ritz residual bound settles it.  Within about 1e-9 relative of an
-eigenvalue a count is certified only where that breakdown fires.  Numpy's
-LAPACK eigvalsh and the closed-form rectangle FD spectrum serve as
-small-scale oracles; neither shares code with the route they check.
+The grid and inertia_count are oracles.  inertia_count factors A - lam*I of
+an assembled operator with SuperLU in symmetric mode (minimum-degree
+ordering of A + A^T, diagonal pivots only), an LDL^T factorization whose
+negative pivots count the eigenvalues below lam (Sylvester's law of
+inertia).  A threshold exactly on an eigenvalue breaks it down; the count is
+then taken at the edges of a narrow window around lam, and the few
+eigenvalues inside are resolved by block inverse iteration with the factor
+at the lower edge, from a start block solved once with the broken-down
+factor at lam when SuperLU produced one, each counted once a Ritz residual
+bound settles it.  Within about 1e-9 relative of an eigenvalue a count is
+certified only where that breakdown fires.  Numpy's LAPACK eigvalsh and the
+closed-form rectangle FD spectrum serve as small-scale oracles; neither
+shares code with the route they check.
 
 SciPy is imported inside the functions that use it (scipy.sparse by the
 assembly and inertia_count, LAPACK by the counter), so importing this module,
@@ -138,7 +139,7 @@ def comb_layout(spec: DomainSpec, s: int) -> CombLayout:
 
     Teeth are degenerate when s = 1 (no interior columns) or h snaps to 0 rows.
     """
-    positive_int("s", s)
+    s = positive_int("s", s)
     if spec.q * s > MAX_QS:
         raise ValueError(
             f"resource guard: q*s must be <= {MAX_QS}, got {spec.q * s}")
@@ -341,25 +342,30 @@ def inertia_count(op: DiscreteOperator, lam: float) -> SpectralCount:
 # interface Schur-complement counting
 # ---------------------------------------------------------------------------
 
-def _continued_fraction(a: np.ndarray, rows: int,
-                        floor: float) -> tuple[int, np.ndarray] | None:
+def _continued_fraction(a: np.ndarray, rows: int, floor: float
+                        ) -> tuple[int, np.ndarray, list[tuple[int, np.ndarray]]]:
     """Pivots of tridiag(-1, a_j, -1) with the given rows, for every a_j at once.
 
     Runs d <- a_j - 1/d, the LDL^T of each tridiagonal from its first row,
-    and returns the negative pivots over all of them and each last pivot d_j
-    (1/d_j is the corner entry of the inverse).  A pivot below floor in
-    magnitude returns None before it is divided by.
+    and returns the negative pivots over all of them, each last pivot d_j
+    (1/d_j is the corner entry of the inverse) and the broken modes: where
+    |d_j| < floor, (j, diagonal of the rows left, d_j first).  A broken mode
+    is parked at a_j = d_j = inf, so it adds no pivot and no corner entry.
     """
     d = a
     negative = np.zeros(a.size, dtype=np.int64)
-    for _ in range(rows - 1):
+    broken = []
+    for row in range(rows):
+        if row:
+            d = a - 1.0 / d
         if abs(d).min() < floor:
-            return None
+            small = np.flatnonzero(abs(d) < floor)
+            broken += [(int(i), np.r_[d[i], np.full(rows - 1 - row, a[i])])
+                       for i in small]
+            a, d = a.copy(), d.copy()
+            a[small] = d[small] = np.inf
         negative += d < 0.0
-        d = a - 1.0 / d
-    if abs(d).min() < floor:
-        return None
-    return int(negative.sum()) + int(np.count_nonzero(d < 0.0)), d
+    return int(negative.sum()), d, broken
 
 
 def _mode_coupling(cols: np.ndarray, size: int, w: np.ndarray) -> np.ndarray:
@@ -410,44 +416,67 @@ def _block_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig
 
 
-def _schur_split(spec: DomainSpec, s: int,
-                 lam: float) -> tuple[int, int, int] | None:
-    """(N_S, N_T, neg(Sigma)) at theta, or None where a pivot falls below the floor.
+def _bordered(sigma: np.ndarray,
+              kept: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """sigma bordered by the kept rows of the broken modes.
 
-    All three count at theta = tie_threshold(lam), not at lam.  The square
-    has (2qs-1)^2 nodes and each tooth (s-1) x (h_rows-1).  Each block is
-    diagonalised in x by a DST-I and left tridiagonal in y; the
+    Each (diagonal, border) in kept is a tridiag(-1, diagonal, -1) whose
+    last row couples to the mouth nodes through -border.
+    """
+    m = start = sigma.shape[0]
+    out = np.zeros((m + sum(diag.size for diag, _ in kept),) * 2)
+    out[:m, :m] = sigma
+    for diag, border in kept:
+        rows = np.arange(start, start + diag.size)
+        out[rows, rows] = diag
+        out[rows[1:], rows[:-1]] = out[rows[:-1], rows[1:]] = -1.0
+        out[rows[-1], :m] = out[:m, rows[-1]] = -border
+        start += diag.size
+    return out
+
+
+def _schur_split(spec: DomainSpec, s: int, lam: float) -> tuple[int, int, int]:
+    """(N_S, N_T, neg(Sigma)) at theta = tie_threshold(lam), not at lam.
+
+    The square has (2qs-1)^2 nodes and each tooth (s-1) x (h_rows-1).  Each
+    block is diagonalised in x by a DST-I and left tridiagonal in y; the
     continued fraction of each mode counts its negative pivots and gives the
-    corner entry of its inverse, all that couples it to the mouth row.  One
-    dense LDL^T of Sigma (LAPACK dsytrf, Bunch-Kaufman) counts the rest.
-    Units are d2 = 1/delta^2, so the floor PIVOT_FLOOR_REL*8*d2 is
-    inertia_count's floor on the assembled comb.
+    corner entry of its inverse, all that couples it to the mouth row.  A
+    mode broken at a pivot below the floor keeps its rows from there on in
+    Sigma, bordered by -phi_j on the mouth nodes (square mode j) or by -psi_k
+    on one tooth's (tooth mode k, per tooth); N_S and N_T then count only the
+    rows eliminated.  One dense LDL^T of Sigma (LAPACK dsytrf, Bunch-Kaufman)
+    counts the rest.  A D-block eigenvalue below the floor puts theta within
+    rounding of a comb eigenvalue: FactorizationError.  Units are
+    d2 = 1/delta^2, so the floor PIVOT_FLOOR_REL*8*d2 is inertia_count's.
     """
     layout = comb_layout(spec, s)
     n = layout.x_cells
-    shift = tie_threshold(finite_real("lambda", lam)) / (n * n)
+    theta = tie_threshold(finite_real("lambda", lam))
+    shift = theta / (n * n)
     floor = PIVOT_FLOOR_REL * 8.0
     j = np.arange(1, n)
-    square = _continued_fraction(
+    n_square, square_last, square_broken = _continued_fraction(
         2.0 + 4.0 * np.sin(j * (math.pi / (2 * n))) ** 2 - shift, n - 1, floor)
-    if square is None:
-        return None
-    n_square, square_last = square
-    if layout.degenerate_teeth:
+    if layout.degenerate_teeth and not square_broken:
         return n_square, 0, 0
-
     k = np.arange(1, s)
+    cols = (2 * s * np.arange(spec.q)[:, None] + k).ravel()
+    if layout.degenerate_teeth:
+        cols = cols[:0]  # no mouth row
+    kept = [(diag, math.sqrt(2.0 / n) * np.sin((i + 1) * (math.pi / n) * cols))
+            for i, diag in square_broken]
+
     n_tooth, tooth_block = 0, 0.0
-    if layout.h_rows > 1:
-        tooth = _continued_fraction(
+    if layout.h_rows > 1 and cols.size:
+        n_tooth, tooth_last, tooth_broken = _continued_fraction(
             2.0 + 4.0 * np.sin(k * (math.pi / (2 * s))) ** 2 - shift,
             layout.h_rows - 1, floor)
-        if tooth is None:
-            return None
-        n_tooth, tooth_last = tooth
         tooth_block = _mode_coupling(k, s, 1.0 / tooth_last)
+        for i, diag in tooth_broken:
+            psi = math.sqrt(2.0 / s) * np.sin((i + 1) * (math.pi / s) * k)
+            kept += [(diag, np.kron(unit, psi)) for unit in np.eye(spec.q)]
 
-    cols = (2 * s * np.arange(spec.q)[:, None] + k).ravel()
     sigma = _mode_coupling(cols, n, 1.0 / square_last)
     np.negative(sigma, out=sigma)
     sigma[np.diag_indices(cols.size)] += 4.0 - shift
@@ -457,10 +486,14 @@ def _schur_split(spec: DomainSpec, s: int,
     for t in range(spec.q):
         block = slice(t * (s - 1), (t + 1) * (s - 1))
         sigma[block, block] -= tooth_block
+    if kept:
+        sigma = _bordered(sigma, kept)
     # Sigma is exactly symmetric: its Fortran-ordered transpose is factored in place.
     eig = _block_eigenvalues(sigma.T)
     if np.min(np.abs(eig)) < floor:
-        return None
+        raise FactorizationError(
+            f"theta = {theta!r} (lambda = {float(lam)!r}) is within rounding "
+            "of a comb eigenvalue: no count is certified")
     return n_square, n_tooth, int(np.count_nonzero(eig < 0.0))
 
 
@@ -468,18 +501,11 @@ def comb_inertia_count(spec: DomainSpec, s: int, lam: float) -> SpectralCount:
     """Count FD comb eigenvalues at or below tie_threshold(lam) without the grid.
 
     The count is N_S + q*N_T + neg(Sigma) from _schur_split, with tie_tol
-    TIE_TOL like the record's exact counts.  Where a pivot at theta is below
-    the floor (theta on or next to an eigenvalue of the square, a tooth or
-    the comb) it is inertia_count on the assembled comb instead; if theta is
-    then also within rounding of a comb eigenvalue, the tie window cannot
-    settle it and FactorizationError follows.  The grid checks and their
-    messages are those of build_comb_grid.
+    TIE_TOL like the record's exact counts.  Where theta lies within
+    rounding of a comb eigenvalue, FactorizationError follows.  The grid
+    checks and their messages are those of build_comb_grid.
     """
-    split = _schur_split(spec, s, lam)
-    if split is None:
-        op = assemble_dirichlet_operator(build_comb_grid(spec, s))
-        return inertia_count(op, lam)
-    n_square, n_tooth, n_sigma = split
+    n_square, n_tooth, n_sigma = _schur_split(spec, s, lam)
     return SpectralCount(float(lam), n_square + spec.q * n_tooth + n_sigma,
                          "fd_schur", TIE_TOL)
 

@@ -129,3 +129,79 @@ def loop_tooth(q: int, h: float, lam: float) -> int:
             return count
         count += int(scale * math.sqrt(rem) * (1.0 + FLOOR_GUARD))
         l += 1
+
+
+# Largest comb that exact_comb_count takes: its fractions grow with the
+# elimination, so its cost climbs steeply with n (about 0.15 s at n = 85
+# and 0.9 s at n = 121 on a 2-vCPU x86 host).
+EXACT_MAX_N = 100
+
+
+def exact_comb_count(q: int, h: float, s: int, theta: float) -> int:
+    """#(FD comb eigenvalues <= theta), decided in rationals with no rounding.
+
+    The FD comb operator is d2*K with d2 = (2qs)^2 and K the integer 5-point
+    stencil (4 on the diagonal, -1 between neighbours) on the nodes of
+    comb_membership_nodes.  A float theta is a rational, so with
+    t = Fraction(theta)/d2 the count is neg(K - tI) + null(K - tI)
+    (Sylvester's law), read off a symmetric elimination in Fraction.  An
+    exact zero pivot is paired with the first nonzero entry b of its row
+    into a 2x2 pivot [[0, b], [b, c]], whose determinant -b^2 < 0 gives one
+    negative and one positive eigenvalue; a zero pivot whose row is zero is
+    a null direction.  Limited to n <= EXACT_MAX_N.
+    """
+    nodes = comb_membership_nodes(q, h, s)
+    if len(nodes) > EXACT_MAX_N:
+        raise ValueError(f"exact count limited to n <= {EXACT_MAX_N}, got {len(nodes)}")
+    ids = {node: i for i, node in enumerate(nodes)}
+    t = Fraction(theta) / (2 * q * s) ** 2
+    rows = [{i: 4 - t} for i in range(len(nodes))]
+    for (y, x), i in ids.items():
+        for nb in ((y - 1, x), (y, x - 1), (y, x + 1), (y + 1, x)):
+            if nb in ids:
+                rows[i][ids[nb]] = Fraction(-1)
+    negative = null = 0
+    done = set()
+    for k in range(len(rows)):
+        if k in done:
+            continue
+        partners = [j for j in rows[k] if j != k]
+        if rows[k].get(k, 0):
+            block = [k]
+            negative += rows[k][k] < 0
+        elif partners:
+            block = [k, min(partners)]
+            negative += 1
+        else:
+            null += 1
+            done.add(k)
+            continue
+        _eliminate(rows, block)
+        done.update(block)
+    return negative + null
+
+
+def _eliminate(rows: list[dict[int, Fraction]], block: list[int]) -> None:
+    """Replace the rows coupled to block by their Schur complement against it.
+
+    rows holds the nonzero entries of a symmetric matrix, row by row; the
+    block's own rows are left as they are and dropped from every other row.
+    """
+    b = [[rows[r].get(c, 0) for c in block] for r in block]
+    if len(block) == 1:
+        inv = [[1 / b[0][0]]]
+    else:
+        det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+        inv = [[b[1][1] / det, -b[0][1] / det], [-b[1][0] / det, b[0][0] / det]]
+    coupled = sorted({i for r in block for i in rows[r]} - set(block))
+    # w[a][l] = (B^-1 * rows[block])[a][l] for each l coupled to the block.
+    w = [{l: sum(inv[a][c] * rows[r].get(l, 0) for c, r in enumerate(block))
+          for l in coupled} for a in range(len(block))]
+    for i in coupled:
+        left = [rows[i].pop(r, 0) for r in block]
+        for l in coupled:
+            v = rows[i].get(l, 0) - sum(left[a] * w[a][l] for a in range(len(block)))
+            if v:
+                rows[i][l] = v
+            else:
+                rows[i].pop(l, None)

@@ -2,8 +2,8 @@
 
 Each entry point lists its arguments with a good value and the rule that
 checks it.  Rows put one bad value in one slot and expect the rule's
-exact message; bool is rejected wherever a real is expected, while ints
-and numpy float64 stay accepted.
+exact message; bool is rejected wherever a real or an int is expected,
+while ints, numpy float64 and numpy integers stay accepted.
 """
 
 import math
@@ -32,7 +32,7 @@ OP = build_rect_operator(2, 2, 0.5)
 # (entry point, callable, [(argument name, rule or None, good value)]).
 # A None rule marks an argument with no shared check.
 ENTRY_POINTS = [
-    ("DomainSpec", DomainSpec, [("q", None, 1), ("h", FINITE, 1.0)]),
+    ("DomainSpec", DomainSpec, [("q", POS_INT, 1), ("h", FINITE, 1.0)]),
     ("RectSpec", RectSpec, [("a", POSITIVE, 1.0), ("b", POSITIVE, 2.0)]),
     ("mode_cutoff", mode_cutoff, [("mu", POSITIVE, 100.0)]),
     ("weyl_constant", weyl_constant, [("mu", POSITIVE, 100.0), ("h", POSITIVE, 1.0)]),
@@ -130,12 +130,22 @@ def _key(result):
     return result
 
 
-@pytest.mark.parametrize("convert", [int, np.float64])
-@pytest.mark.parametrize("fn,slots", [
-    pytest.param(fn, slots, id=label) for label, fn, slots in ENTRY_POINTS
-    if any(isinstance(good, float) for _, _, good in slots)])
-def test_int_and_float64_accepted(fn, slots, convert):
+# int and np.float64 stand in for the good float values, np.int64 for the int ones.
+@pytest.mark.parametrize("fn,slots,convert,kind", [
+    pytest.param(fn, slots, convert, kind, id=f"{label}-{convert.__name__}")
+    for label, fn, slots in ENTRY_POINTS
+    for convert, kind in ((int, float), (np.float64, float), (np.int64, int))
+    if any(type(good) is kind for _, _, good in slots)])
+def test_int_and_float64_accepted(fn, slots, convert, kind):
     want = _key(_call(fn, slots))
-    converted = [(name, rule, convert(good) if isinstance(good, float) else good)
+    converted = [(name, rule, convert(good) if type(good) is kind else good)
                  for name, rule, good in slots]
     assert _key(_call(fn, converted)) == want
+
+
+def test_numpy_ints_stored_as_int():
+    spec = DomainSpec(np.int64(2), 1.0)
+    config = ExperimentConfig((100.0,), 1.0, (np.int64(3), np.int32(2)), (np.int64(15),))
+    assert type(spec.q) is int and spec == DomainSpec(2, 1.0)
+    assert [type(v) for v in config.q_list + config.s_list] == [int, int, int]
+    assert (config.q_list, config.s_list) == ((2, 3), (15,))

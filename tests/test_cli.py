@@ -32,8 +32,10 @@ def parse_kv(out):
 def test_import_skips_quadrature_modules():
     # The closed forms need no quadrature or special functions, and only the
     # FD counters need SciPy, whose import would dominate start-up.  One fresh
-    # interpreter imports combweyl, runs the analytic commands, then a comb
-    # count on the Schur route (LAPACK only, no sparse assembly).
+    # interpreter imports combweyl, runs the analytic commands, then comb
+    # counts on the Schur route (LAPACK only, no sparse assembly), one of
+    # them with theta on a square-block eigenvalue, and last the selftest,
+    # whose oracles do assemble the grid.
     src = os.path.dirname(os.path.dirname(os.path.abspath(combweyl.__file__)))
     code = """
 import contextlib, io, json, sys
@@ -51,15 +53,20 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen["analytic commands"] = loaded("scipy")
     codes.append(main(["count", "comb", "--q", "3", "--h", "1", "--mu", "100",
                        "--refine", "4"]))
-seen["count comb"] = loaded("scipy.sparse")
+    codes.append(main(["count", "comb", "--q", "2", "--h", "1",
+                       "--mu", "46.68172474863997", "--refine", "1"]))
+    seen["count comb"] = loaded("scipy.sparse")
+    codes.append(main(["selftest"]))
+seen["selftest"] = "scipy.sparse" in sys.modules
 print(json.dumps({"codes": codes, "seen": seen}))
 """
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert json.loads(out) == {
-        "codes": [0, 0, 0, 0],
-        "seen": {"import": [], "analytic commands": [], "count comb": []}}
+        "codes": [0, 0, 0, 0, 0, 0],
+        "seen": {"import": [], "analytic commands": [], "count comb": [],
+                 "selftest": True}}
 
 
 class TestConstants:

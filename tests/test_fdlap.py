@@ -1,5 +1,6 @@
 """Tests for the FD comb Laplacian, inertia counting, and its oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from combweyl.fdlap import (DENSE_MAX_N, PIVOT_FLOOR_REL, DiscreteOperator,
                             comb_layout, dense_count, dense_eig_oracle,
                             fd_rect_count_closed_form, inertia_count)
 from combweyl.lattice import TIE_TOL, tie_threshold
-from helpers import comb_membership_nodes
+from helpers import comb_membership_nodes, exact_comb_count
 
 
 def _rect_eig(m_cols, k_rows, delta, i, j):
@@ -447,42 +448,103 @@ class TestCombInertiaCount:
                     assert comb_layout(DomainSpec(q, h), s).h_rows == rows
                     self.check_split(DomainSpec(q, h), s, lam)
 
-    def test_ties_fall_back(self):
-        # lam = lam0/(1 + TIE_TOL) puts theta on an eigenvalue lam0 of the
-        # square block or of a tooth block: a pivot at theta is below the
-        # floor, and the count is inertia_count's on the assembled comb, a
-        # FactorizationError included where lam0 is a comb eigenvalue too.
+    def test_clear_zone_battery(self, monkeypatch):
+        # theta within 3 ulps of an eigenvalue lam0 of the square block or of
+        # a tooth block, with no comb eigenvalue within 1e-12 relative: a
+        # pivot at theta is below the floor, its mode is bordered into Sigma,
+        # and the count is #(eigvalsh <= theta).
+        bordered = []
+        real = fdlap._bordered
+        monkeypatch.setattr(fdlap, "_bordered",
+                            lambda sigma, kept: bordered.append(kept) or real(sigma, kept))
         rng = np.random.default_rng(63)
-        counted = 0
+        engaged = compared = 0
         for _ in range(25):
-            q = int(rng.integers(1, 5))
-            s = int(rng.integers(2, 6))
-            spec = DomainSpec(q, float(rng.uniform(0.1, 1.5)))
-            op = assemble_dirichlet_operator(build_comb_grid(spec, s))
-            for lam in (tie / (1.0 + TIE_TOL) for tie in _block_ties(rng, spec, s)):
-                assert fdlap._schur_split(spec, s, lam) is None, (spec, s, lam)
-                try:
-                    want = inertia_count(op, lam).count
-                except FactorizationError:
-                    with pytest.raises(FactorizationError):
-                        comb_inertia_count(spec, s, lam)
-                    continue
-                got = comb_inertia_count(spec, s, lam)
-                assert got.method == "fd_inertia"
-                assert got.count == want, (spec, s, lam)
-                counted += 1
-        assert counted >= 40
+            while True:
+                q, s = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+                spec = DomainSpec(q, float(rng.uniform(0.1, 1.5)))
+                grid = build_comb_grid(spec, s)
+                if grid.n <= DENSE_MAX_N:
+                    break
+            eigs = dense_eig_oracle(assemble_dirichlet_operator(grid))
+            for tie in _block_ties(rng, spec, s):
+                lam = tie / (1.0 + TIE_TOL)
+                for ulps in range(-3, 4):
+                    lam_u = lam + ulps * np.spacing(lam)
+                    theta = tie_threshold(lam_u)
+                    if np.min(abs(eigs - theta)) <= 1e-12 * theta:
+                        continue
+                    del bordered[:]
+                    got = comb_inertia_count(spec, s, lam_u)
+                    assert got.count == np.count_nonzero(eigs <= theta), (spec, s, lam_u)
+                    engaged += bool(bordered)
+                    compared += 1
+        assert engaged >= 30, (engaged, compared)
+
+    def test_early_breaks_keep_rows_to_the_mouth(self, monkeypatch):
+        # theta on the eigenvalue 2 - 2cos(pi/(r+1)) of the leading r x r
+        # block of mode j of the square (size n, n - 1 rows) or of a tooth
+        # (size s, h_rows - 1 rows), r short of the rows, breaks the mode at
+        # its r-th pivot, and it keeps its last rows - r + 1 rows (other
+        # modes may break too).  With degenerate teeth Sigma is those rows
+        # alone.  Cases within 1e-12 relative of a comb eigenvalue are left out.
+        bordered = []
+        real = fdlap._bordered
+        monkeypatch.setattr(fdlap, "_bordered",
+                            lambda sigma, kept: bordered.append(kept) or real(sigma, kept))
+        compared = 0
+        for q, s, h in ((2, 1, 1.0), (3, 2, 0.01), (1, 3, 0.5), (2, 2, 0.4)):
+            spec = DomainSpec(q, h)
+            eigs = dense_eig_oracle(assemble_dirichlet_operator(build_comb_grid(spec, s)))
+            layout = comb_layout(spec, s)
+            n = layout.x_cells
+            for size, rows in ((n, n - 1), (s, layout.h_rows - 1)):
+                for j, r in itertools.product(range(1, size), range(1, rows)):
+                    lam = n * n * (2.0 + 4.0 * math.sin(j * math.pi / (2 * size)) ** 2
+                                   - 2.0 * math.cos(math.pi / (r + 1))) / (1.0 + TIE_TOL)
+                    theta = tie_threshold(lam)
+                    if np.min(abs(eigs - theta)) <= 1e-12 * theta:
+                        continue
+                    del bordered[:]
+                    got = comb_inertia_count(spec, s, lam).count
+                    assert got == np.count_nonzero(eigs <= theta), (spec, s, lam)
+                    assert rows - r + 1 in [diag.size for kept in bordered for diag, _ in kept]
+                    compared += 1
+        assert compared >= 100, compared
 
     def test_theta_on_shared_eigenvalue_is_factorization_error(self):
         # 1024 = 4/delta^2 at q = 2, s = 4 is a 15-fold eigenvalue of the
-        # square block and of the comb.  With theta on it the count falls
-        # back, and the tie window cannot settle eigenvalues on the threshold.
+        # square block and of the comb.  With theta on it the bordered Sigma
+        # is singular, and no count is certified.
         spec, s = DomainSpec(2, 1.0), 4
         op = assemble_dirichlet_operator(build_comb_grid(spec, s))
         assert np.count_nonzero(abs(dense_eig_oracle(op) - 1024.0) <= 1e-9) == 15
-        with pytest.raises(FactorizationError, match="not resolved"):
+        with pytest.raises(FactorizationError,
+                           match=r"theta = 1024\.0 \(lambda = .*\) is within rounding"):
             comb_inertia_count(spec, s, 1024.0 / (1.0 + TIE_TOL))
         assert comb_inertia_count(spec, s, 1024.0).count == dense_count(op, 1024.0).count
+
+    def test_ambiguous_zone_battery(self):
+        # theta within 1e-10 relative of a comb eigenvalue, on combs small
+        # enough for the exact rational count: every count the Schur route
+        # returns is the exact one, and the rest raise FactorizationError.
+        rng = np.random.default_rng(64)
+        counted = raised = 0
+        for q, s in ((1, 2), (1, 2), (1, 3), (2, 2), (1, 3), (1, 2)):
+            spec = DomainSpec(q, float(rng.uniform(0.2, 0.8)))
+            eigs = dense_eig_oracle(assemble_dirichlet_operator(build_comb_grid(spec, s)))
+            for tie in rng.choice(eigs, 2, replace=False):
+                for rel in (-1e-10, -1e-12, 0.0, 1e-12, 1e-10):
+                    lam = float(tie) * (1.0 + rel) / (1.0 + TIE_TOL)
+                    try:
+                        got = comb_inertia_count(spec, s, lam).count
+                    except FactorizationError:
+                        raised += 1
+                        continue
+                    assert got == exact_comb_count(q, spec.h, s, tie_threshold(lam)), (
+                        spec, s, lam)
+                    counted += 1
+        assert counted and raised, (counted, raised)
 
     def test_counts_at_theta_battery(self):
         # Thresholds at and around two comb eigenvalues and one eigenvalue of
@@ -508,11 +570,17 @@ class TestCombInertiaCount:
         assert compared >= 1000
 
     def test_zero_pivot_is_checked_before_division(self):
+        # A zero pivot breaks its mode there: the rows before it are counted,
+        # the rest are kept, and the mode leaves no corner entry.
         floor = 8.0 * PIVOT_FLOOR_REL
-        assert fdlap._continued_fraction(np.array([3.0, 0.0]), 4, floor) is None
-        # 2 - 1/2 - ... reaches an exact zero pivot at the second row of
-        # tridiag(-1, 1, -1).
-        assert fdlap._continued_fraction(np.array([1.0]), 3, floor) is None
+        negative, last, broken = fdlap._continued_fraction(np.array([3.0, 0.0]), 4, floor)
+        assert negative == 0 and last[1] == np.inf and 0.0 < last[0] < 3.0
+        assert [(i, kept.tolist()) for i, kept in broken] == [(1, [0.0, 0.0, 0.0, 0.0])]
+        # 1 - 1/1 reaches an exact zero pivot at the second row of
+        # tridiag(-1, 1, -1); a -2 mode breaks nowhere.
+        negative, last, broken = fdlap._continued_fraction(np.array([1.0, -2.0]), 3, floor)
+        assert negative == 3 and last[0] == np.inf
+        assert [(i, kept.tolist()) for i, kept in broken] == [(0, [0.0, 1.0])]
 
     def test_block_eigenvalues_match_ldl(self):
         # _block_eigenvalues reads D from the dsytrf call, with the lwork,
@@ -531,37 +599,17 @@ class TestCombInertiaCount:
                 np.testing.assert_array_equal(got, want)
         assert adjacent_pairs > 0
 
-    def test_breakdown_falls_back_to_inertia_count(self, monkeypatch):
+    def test_singular_sigma_is_factorization_error(self, monkeypatch):
         spec, s, lam = DomainSpec(3, 1.0), 4, 900.0
-        want = _sparse_count(spec, s, lam).count
-        calls = []
-        real = fdlap.inertia_count
-
-        def spy(op, lam):
-            calls.append(op.n)
-            return real(op, lam)
+        assert comb_inertia_count(spec, s, lam).count == _sparse_count(spec, s, lam).count
 
         def singular_dsytrf(a, lower=0, lwork=0, overwrite_a=0):
             # A zero D, as LAPACK reports it: info = n, D(n, n) exactly zero.
             return np.zeros_like(a), np.arange(1, len(a) + 1, dtype=np.int32), len(a)
 
-        monkeypatch.setattr(fdlap, "inertia_count", spy)
-        assert comb_inertia_count(spec, s, lam).method == "fd_schur"
-        assert calls == []
         monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", singular_dsytrf)
-        got = comb_inertia_count(spec, s, lam)
-        assert calls == [build_comb_grid(spec, s).n]
-        assert got.count == want and got.method == "fd_inertia"
-
-    def test_fallback_failure_propagates(self, monkeypatch):
-        def broken(op, lam):
-            raise FactorizationError("synthetic pivot breakdown")
-
-        monkeypatch.setattr(fdlap, "inertia_count", broken)
-        layout = comb_layout(DomainSpec(1, 1.0), 2)
-        tie = _rect_eig(3, 3, layout.delta, 1, 2)
-        with pytest.raises(FactorizationError, match="synthetic"):
-            comb_inertia_count(DomainSpec(1, 1.0), 2, tie / (1.0 + TIE_TOL))
+        with pytest.raises(FactorizationError, match="within rounding of a comb eigenvalue"):
+            comb_inertia_count(spec, s, lam)
 
     def test_validation_matches_grid(self):
         for s in (0, 2.0, True, MAX_QS // 64 + 1):
@@ -586,8 +634,8 @@ class TestCombInertiaCount:
         cells = layout.x_cells
         a = np.array([2.0 + 4.0 * math.sin(math.pi * j / (2 * s)) ** 2
                       - lam / cells ** 2])
-        _, last = fdlap._continued_fraction(a, layout.h_rows - 1,
-                                            8.0 * PIVOT_FLOOR_REL)
+        _, last, _ = fdlap._continued_fraction(a, layout.h_rows - 1,
+                                               8.0 * PIVOT_FLOOR_REL)
         return cells * (1.0 - 1.0 / last[0]), layout.h_snapped
 
     @pytest.mark.parametrize("mu", [100.0, 30.0])
@@ -660,6 +708,31 @@ class TestDenseOracle:
         assert op.n > DENSE_MAX_N
         with pytest.raises(ValueError):
             dense_eig_oracle(op)
+
+
+class TestExactCount:
+    """The rational arbiter of tests/helpers.py against the dense oracle."""
+
+    def test_matches_eigvalsh_away_from_ties(self):
+        rng = np.random.default_rng(65)
+        for q, s, h in ((1, 2, 1.0), (1, 3, 0.6), (2, 2, 0.4), (1, 4, 0.3)):
+            op = assemble_dirichlet_operator(build_comb_grid(DomainSpec(q, h), s))
+            for lam, want in gap_midpoints(dense_eig_oracle(op), rng, 4):
+                assert exact_comb_count(q, h, s, lam) == want, (q, s, h, lam)
+
+    def test_eigenvalue_on_threshold_counts(self):
+        # 64 = 4*d2 at q = 1, s = 2 is a triple comb eigenvalue, and K - 4I
+        # has a zero diagonal, so the first pivot is an exact zero.
+        eigs = dense_eig_oracle(assemble_dirichlet_operator(
+            build_comb_grid(DomainSpec(1, 1.0), 2)))
+        assert np.count_nonzero(abs(eigs - 64.0) < 1e-9) == 3
+        below = np.count_nonzero(eigs < 64.0 - 1e-9)
+        assert exact_comb_count(1, 1.0, 2, 64.0 * (1.0 - 1e-9)) == below
+        assert exact_comb_count(1, 1.0, 2, 64.0) == below + 3
+
+    def test_size_cap(self):
+        with pytest.raises(ValueError, match="exact count limited"):
+            exact_comb_count(2, 1.0, 3, 100.0)
 
 
 class TestConvergence:
