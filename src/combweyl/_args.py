@@ -31,11 +31,7 @@ def positive_real(name: str, v: float) -> float:
 
 
 def positive_int(name: str, v: int) -> int:
-    """v as a plain int, or ValueError unless v is an integer >= 1.
-
-    An integer is anything operator.index takes (numpy's integers included)
-    but bool.
-    """
+    """v as a plain int, or ValueError unless v is an int >= 1 (see above)."""
     try:
         i = operator.index(v)
     except TypeError:

@@ -355,17 +355,24 @@ def _continued_fraction(a: np.ndarray, rows: int, floor: float
     d = a
     negative = np.zeros(a.size, dtype=np.int64)
     broken = []
-    for row in range(rows):
-        if row:
-            d = a - 1.0 / d
+    for row in range(rows - 1):
         if abs(d).min() < floor:
-            small = np.flatnonzero(abs(d) < floor)
-            broken += [(int(i), np.r_[d[i], np.full(rows - 1 - row, a[i])])
-                       for i in small]
-            a, d = a.copy(), d.copy()
-            a[small] = d[small] = np.inf
+            a, d = _park(a, d, rows - 1 - row, floor, broken)
         negative += d < 0.0
-    return int(negative.sum()), d, broken
+        d = a - 1.0 / d
+    if abs(d).min() < floor:
+        a, d = _park(a, d, 0, floor, broken)
+    return int(negative.sum()) + int(np.count_nonzero(d < 0.0)), d, broken
+
+
+def _park(a: np.ndarray, d: np.ndarray, after: int, floor: float,
+          broken: list) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of a and d with the modes below floor set to inf, listed in broken."""
+    small = np.flatnonzero(abs(d) < floor)
+    broken += [(int(i), np.r_[d[i], np.full(after, a[i])]) for i in small]
+    a, d = a.copy(), d.copy()
+    a[small] = d[small] = np.inf
+    return a, d
 
 
 def _mode_coupling(cols: np.ndarray, size: int, w: np.ndarray) -> np.ndarray:
@@ -461,9 +468,8 @@ def _schur_split(spec: DomainSpec, s: int, lam: float) -> tuple[int, int, int]:
     if layout.degenerate_teeth and not square_broken:
         return n_square, 0, 0
     k = np.arange(1, s)
-    cols = (2 * s * np.arange(spec.q)[:, None] + k).ravel()
-    if layout.degenerate_teeth:
-        cols = cols[:0]  # no mouth row
+    teeth = 0 if layout.degenerate_teeth else spec.q  # no mouth row without teeth
+    cols = (2 * s * np.arange(teeth)[:, None] + k).ravel()
     kept = [(diag, math.sqrt(2.0 / n) * np.sin((i + 1) * (math.pi / n) * cols))
             for i, diag in square_broken]
 
