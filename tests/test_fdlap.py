@@ -394,6 +394,16 @@ def _ldl_block_eigenvalues(a):
     return eig, first
 
 
+@pytest.fixture
+def bordered(monkeypatch):
+    """The kept rows that each call of fdlap._bordered receives."""
+    calls = []
+    real = fdlap._bordered
+    monkeypatch.setattr(fdlap, "_bordered",
+                        lambda sigma, kept: calls.append(kept) or real(sigma, kept))
+    return calls
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCombInertiaCount:
     """The mouth-row Schur counter against inertia_count on the assembled comb."""
@@ -448,15 +458,11 @@ class TestCombInertiaCount:
                     assert comb_layout(DomainSpec(q, h), s).h_rows == rows
                     self.check_split(DomainSpec(q, h), s, lam)
 
-    def test_clear_zone_battery(self, monkeypatch):
+    def test_clear_zone_battery(self, bordered):
         # theta within 3 ulps of an eigenvalue lam0 of the square block or of
         # a tooth block, with no comb eigenvalue within 1e-12 relative: a
         # pivot at theta is below the floor, its mode is bordered into Sigma,
         # and the count is #(eigvalsh <= theta).
-        bordered = []
-        real = fdlap._bordered
-        monkeypatch.setattr(fdlap, "_bordered",
-                            lambda sigma, kept: bordered.append(kept) or real(sigma, kept))
         rng = np.random.default_rng(63)
         engaged = compared = 0
         for _ in range(25):
@@ -481,17 +487,13 @@ class TestCombInertiaCount:
                     compared += 1
         assert engaged >= 30, (engaged, compared)
 
-    def test_early_breaks_keep_rows_to_the_mouth(self, monkeypatch):
+    def test_early_breaks_keep_rows_to_the_mouth(self, bordered):
         # theta on the eigenvalue 2 - 2cos(pi/(r+1)) of the leading r x r
         # block of mode j of the square (size n, n - 1 rows) or of a tooth
         # (size s, h_rows - 1 rows), r short of the rows, breaks the mode at
         # its r-th pivot, and it keeps its last rows - r + 1 rows (other
         # modes may break too).  With degenerate teeth Sigma is those rows
         # alone.  Cases within 1e-12 relative of a comb eigenvalue are left out.
-        bordered = []
-        real = fdlap._bordered
-        monkeypatch.setattr(fdlap, "_bordered",
-                            lambda sigma, kept: bordered.append(kept) or real(sigma, kept))
         compared = 0
         for q, s, h in ((2, 1, 1.0), (3, 2, 0.01), (1, 3, 0.5), (2, 2, 0.4)):
             spec = DomainSpec(q, h)
