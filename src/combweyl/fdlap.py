@@ -9,9 +9,10 @@ Production counts (comb_inertia_count) never build that grid.  Removing the
 mouth row y = 1 leaves the square and q teeth, so Haynsworth inertia
 additivity gives n_fd = N_S + q*N_T + neg(Sigma), Sigma the Schur
 complement on the q*(s-1) mouth nodes, all counted at theta =
-tie_threshold(lam), the "<=" convention of the exact counts.  A mode
-whose pivot at theta falls below a floor is bordered into Sigma from that
-pivot on instead; within rounding of a comb eigenvalue the count raises.
+tie_threshold(lam), the "<=" convention of the exact counts.  Each mode's
+pivots follow LAPACK's pivmin rule; a mode whose last pivot at theta falls
+below a floor is bordered into Sigma by that one row instead; within
+rounding of a comb eigenvalue the count raises.
 
 The grid and inertia_count are oracles.  inertia_count factors A - lam*I of
 an assembled operator with SuperLU in symmetric mode (minimum-degree
@@ -35,6 +36,7 @@ as every combweyl command does, loads none of it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -343,36 +345,32 @@ def inertia_count(op: DiscreteOperator, lam: float) -> SpectralCount:
 # ---------------------------------------------------------------------------
 
 def _continued_fraction(a: np.ndarray, rows: int, floor: float
-                        ) -> tuple[int, np.ndarray, list[tuple[int, np.ndarray]]]:
+                        ) -> tuple[int, np.ndarray, list[tuple[int, float]]]:
     """Pivots of tridiag(-1, a_j, -1) with the given rows, for every a_j at once.
 
-    Runs d <- a_j - 1/d, the LDL^T of each tridiagonal from its first row,
-    and returns the negative pivots over all of them, each last pivot d_j
-    (1/d_j is the corner entry of the inverse) and the broken modes: where
-    |d_j| < floor, (j, diagonal of the rows left, d_j first).  A broken mode
-    is parked at a_j = d_j = inf, so it adds no pivot and no corner entry.
+    Runs d <- a_j - 1/d, the LDL^T of each tridiagonal from its first row.
+    A pivot short of the last row with |d| < tiny, the smallest normal
+    float, is taken as -tiny (LAPACK dstebz's pivmin rule, off-diagonal 1):
+    that moves a_j by under 2*tiny at that row, a zero pivot counts as
+    negative, and 1/d never overflows.  Only a last pivot d_j below floor
+    breaks its mode.  Returns the negative pivots, less the broken modes'
+    last ones; the last pivots d_j (1/d_j is the corner entry of the
+    inverse), a broken mode's parked at inf so that it adds no corner entry;
+    and the broken modes as (j, d_j).
     """
+    tiny = sys.float_info.min
     d = a
     negative = np.zeros(a.size, dtype=np.int64)
-    broken = []
-    for row in range(rows - 1):
-        if abs(d).min() < floor:
-            a, d = _park(a, d, rows - 1 - row, floor, broken)
+    for _ in range(rows - 1):
+        if abs(d).min() < tiny:
+            d = np.where(abs(d) < tiny, -tiny, d)
         negative += d < 0.0
         d = a - 1.0 / d
+    broken = []
     if abs(d).min() < floor:
-        a, d = _park(a, d, 0, floor, broken)
+        broken = [(int(j), float(d[j])) for j in np.flatnonzero(abs(d) < floor)]
+        d = np.where(abs(d) < floor, np.inf, d)
     return int(negative.sum()) + int(np.count_nonzero(d < 0.0)), d, broken
-
-
-def _park(a: np.ndarray, d: np.ndarray, after: int, floor: float,
-          broken: list) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of a and d with the modes below floor set to inf, listed in broken."""
-    small = np.flatnonzero(abs(d) < floor)
-    broken += [(int(i), np.r_[d[i], np.full(after, a[i])]) for i in small]
-    a, d = a.copy(), d.copy()
-    a[small] = d[small] = np.inf
-    return a, d
 
 
 def _mode_coupling(cols: np.ndarray, size: int, w: np.ndarray) -> np.ndarray:
@@ -423,23 +421,15 @@ def _block_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig
 
 
-def _bordered(sigma: np.ndarray,
-              kept: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """sigma bordered by the kept rows of the broken modes.
+def _bordered(sigma: np.ndarray, kept: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """[[sigma, -B^T], [-B, diag(d)]]: sigma bordered by one row per broken mode.
 
-    Each (diagonal, border) in kept is a tridiag(-1, diagonal, -1) whose
-    last row couples to the mouth nodes through -border.
+    Each (d, border) in kept is a broken mode's last pivot and its row of B,
+    the mode's coupling to the mouth nodes.
     """
-    m = start = sigma.shape[0]
-    out = np.zeros((m + sum(diag.size for diag, _ in kept),) * 2)
-    out[:m, :m] = sigma
-    for diag, border in kept:
-        rows = np.arange(start, start + diag.size)
-        out[rows, rows] = diag
-        out[rows[1:], rows[:-1]] = out[rows[:-1], rows[1:]] = -1.0
-        out[rows[-1], :m] = out[:m, rows[-1]] = -border
-        start += diag.size
-    return out
+    diag, border = zip(*kept)
+    b = np.array(border)
+    return np.block([[sigma, -b.T], [-b, np.diag(diag)]])
 
 
 def _schur_split(spec: DomainSpec, s: int, lam: float) -> tuple[int, int, int]:
@@ -449,11 +439,12 @@ def _schur_split(spec: DomainSpec, s: int, lam: float) -> tuple[int, int, int]:
     block is diagonalised in x by a DST-I and left tridiagonal in y; the
     continued fraction of each mode counts its negative pivots and gives the
     corner entry of its inverse, all that couples it to the mouth row.  A
-    mode broken at a pivot below the floor keeps its rows from there on in
-    Sigma, bordered by -phi_j on the mouth nodes (square mode j) or by -psi_k
-    on one tooth's (tooth mode k, per tooth); N_S and N_T then count only the
-    rows eliminated.  One dense LDL^T of Sigma (LAPACK dsytrf, Bunch-Kaufman)
-    counts the rest.  A D-block eigenvalue below the floor puts theta within
+    mode whose last pivot falls below the floor keeps that one row in Sigma,
+    bordered by -phi_j on the mouth nodes (square mode j) or by -psi_k on one
+    tooth's (tooth mode k, per tooth); N_S and N_T then count only the rows
+    before it.  So Sigma has at most q(s-1) + (2qs-1) + q(s-1) = 4qs - 2q - 1
+    rows.  One dense LDL^T of Sigma (LAPACK dsytrf, Bunch-Kaufman) counts
+    the rest.  A D-block eigenvalue below the floor puts theta within
     rounding of a comb eigenvalue: FactorizationError.  Units are
     d2 = 1/delta^2, so the floor PIVOT_FLOOR_REL*8*d2 is inertia_count's.
     """
@@ -470,8 +461,8 @@ def _schur_split(spec: DomainSpec, s: int, lam: float) -> tuple[int, int, int]:
     k = np.arange(1, s)
     teeth = 0 if layout.degenerate_teeth else spec.q  # no mouth row without teeth
     cols = (2 * s * np.arange(teeth)[:, None] + k).ravel()
-    kept = [(diag, math.sqrt(2.0 / n) * np.sin((i + 1) * (math.pi / n) * cols))
-            for i, diag in square_broken]
+    kept = [(d, math.sqrt(2.0 / n) * np.sin((i + 1) * (math.pi / n) * cols))
+            for i, d in square_broken]
 
     n_tooth, tooth_block = 0, 0.0
     if layout.h_rows > 1 and cols.size:
@@ -479,9 +470,9 @@ def _schur_split(spec: DomainSpec, s: int, lam: float) -> tuple[int, int, int]:
             2.0 + 4.0 * np.sin(k * (math.pi / (2 * s))) ** 2 - shift,
             layout.h_rows - 1, floor)
         tooth_block = _mode_coupling(k, s, 1.0 / tooth_last)
-        for i, diag in tooth_broken:
+        for i, d in tooth_broken:
             psi = math.sqrt(2.0 / s) * np.sin((i + 1) * (math.pi / s) * k)
-            kept += [(diag, np.kron(unit, psi)) for unit in np.eye(spec.q)]
+            kept += [(d, np.kron(unit, psi)) for unit in np.eye(spec.q)]
 
     sigma = _mode_coupling(cols, n, 1.0 / square_last)
     np.negative(sigma, out=sigma)

@@ -40,6 +40,8 @@ COUNT_COMB = [
     ["--q", "2", "--mu", "46.68172474863997", "--h", "1", "--refine", "1"],
     # theta within 2e-16 relative of a comb eigenvalue: no count is certified
     ["--q", "1", "--mu", "41.37258296065789", "--h", "1", "--refine", "1"],
+    # theta = 4/delta^2 breaks every square mode at its last pivot
+    ["--q", "16", "--mu", "4095.9999959039997", "--h", "1", "--refine", "4"],
     ["--q", "1", "--mu", "nan", "--h", "1", "--refine", "2"],
     ["--q", "1", "--mu", "inf", "--h", "1", "--refine", "2"],
     ["--q", "1", "--mu=-inf", "--h", "1", "--refine", "2"],

@@ -156,6 +156,15 @@ print(json.dumps(seen))
         assert bad.n_teeth == 3 * count_tooth(DomainSpec(3, 1.0), 900.0).count
 
 
+    def test_tie_with_many_broken_modes_is_recorded(self):
+        # theta = 4/delta^2 at (q, s) = (16, 16) breaks every square mode and
+        # is a comb eigenvalue: the record carries the error.
+        cfg = ExperimentConfig((4095.9999959039997,), 1.0, (16,), (16,))
+        (record,) = run_sweep(cfg)
+        assert record.error.startswith("FactorizationError: theta = 1048576.0 ")
+        assert record.n_fd is None and record.n_square is not None
+
+
 class TestFitConstant:
     def test_exact_quadratic_model(self):
         records = [_mk_record(q, 10 * q * q + 3 * q) for q in (2, 3, 4, 5)]

@@ -378,6 +378,10 @@ def _sparse_count(spec, s, lam):
     return inertia_count(assemble_dirichlet_operator(build_comb_grid(spec, s)), lam)
 
 
+def _tridiagonal(a, rows):
+    return a * np.eye(rows) - np.eye(rows, k=1) - np.eye(rows, k=-1)
+
+
 def _ldl_block_eigenvalues(a):
     """Eigenvalues of ldl(a)'s block diagonal d, and the first index of each 2x2 block."""
     d = ldl(a)[1]
@@ -487,21 +491,23 @@ class TestCombInertiaCount:
                     compared += 1
         assert engaged >= 30, (engaged, compared)
 
-    def test_early_breaks_keep_rows_to_the_mouth(self, bordered):
+    def test_early_breaks_keep_one_row(self, bordered):
         # theta on the eigenvalue 2 - 2cos(pi/(r+1)) of the leading r x r
         # block of mode j of the square (size n, n - 1 rows) or of a tooth
-        # (size s, h_rows - 1 rows), r short of the rows, breaks the mode at
-        # its r-th pivot, and it keeps its last rows - r + 1 rows (other
-        # modes may break too).  With degenerate teeth Sigma is those rows
-        # alone.  Cases within 1e-12 relative of a comb eigenvalue are left out.
+        # (size s, h_rows - 1 rows) puts a pivot near zero at row r.  Short of
+        # the last row the recurrence runs on through it; at the last row
+        # the mode is bordered into Sigma by that one row (other modes may
+        # break too).  With degenerate teeth Sigma is those rows alone.
+        # Cases within 1e-12 relative of a comb eigenvalue are left out.
         compared = 0
         for q, s, h in ((2, 1, 1.0), (3, 2, 0.01), (1, 3, 0.5), (2, 2, 0.4)):
             spec = DomainSpec(q, h)
             eigs = dense_eig_oracle(assemble_dirichlet_operator(build_comb_grid(spec, s)))
             layout = comb_layout(spec, s)
             n = layout.x_cells
+            mouth = 0 if layout.degenerate_teeth else q * (s - 1)
             for size, rows in ((n, n - 1), (s, layout.h_rows - 1)):
-                for j, r in itertools.product(range(1, size), range(1, rows)):
+                for j, r in itertools.product(range(1, size), range(1, rows + 1)):
                     lam = n * n * (2.0 + 4.0 * math.sin(j * math.pi / (2 * size)) ** 2
                                    - 2.0 * math.cos(math.pi / (r + 1))) / (1.0 + TIE_TOL)
                     theta = tie_threshold(lam)
@@ -510,9 +516,37 @@ class TestCombInertiaCount:
                     del bordered[:]
                     got = comb_inertia_count(spec, s, lam).count
                     assert got == np.count_nonzero(eigs <= theta), (spec, s, lam)
-                    assert rows - r + 1 in [diag.size for kept in bordered for diag, _ in kept]
+                    kept = [entry for call in bordered for entry in call]
+                    assert r < rows or kept, (spec, s, j, r)
+                    for d, border in kept:
+                        assert np.ndim(d) == 0 and np.shape(border) == (mouth,)
                     compared += 1
         assert compared >= 100, compared
+
+    def test_kept_rows_bounded_at_four_over_delta_squared(self, bordered):
+        # theta = 4/delta^2 at (q, s) = (16, 16) is an eigenvalue of every
+        # square mode's tridiagonal and of many leading blocks of the tooth
+        # modes.  Each broken mode keeps one row, so Sigma stays within
+        # 4qs - 2q - 1 rows, and theta on a comb eigenvalue raises.
+        spec, s = DomainSpec(16, 1.0), 16
+        with pytest.raises(FactorizationError, match=r"theta = 1048576\.0 "):
+            comb_inertia_count(spec, s, 4 * 512 ** 2 / (1.0 + TIE_TOL))
+        (kept,) = bordered
+        assert all(np.ndim(d) == 0 for d, _ in kept)
+        assert 16 * (s - 1) + len(kept) <= 4 * 16 * s - 2 * 16 - 1
+
+    def test_tooth_tie_keeps_one_row_per_tooth(self, bordered):
+        # theta on the tooth eigenvalue (k, j) = (8, 170) at (16, 16): the
+        # 255-row leading block shares it, so the pivot at row 255 is
+        # near zero, and the mode breaks only at its last row, one row per
+        # tooth.  theta is within rounding of a comb eigenvalue: it raises.
+        spec, s = DomainSpec(16, 1.0), 16
+        tie = 512 ** 2 * 4.0 * (math.sin(8 * math.pi / 32) ** 2
+                                + math.sin(170 * math.pi / 1024) ** 2)
+        with pytest.raises(FactorizationError, match="within rounding"):
+            comb_inertia_count(spec, s, tie / (1.0 + TIE_TOL))
+        (kept,) = bordered
+        assert 0 < sum(np.size(d) for d, _ in kept) <= 2 * spec.q
 
     def test_theta_on_shared_eigenvalue_is_factorization_error(self):
         # 1024 = 4/delta^2 at q = 2, s = 4 is a 15-fold eigenvalue of the
@@ -571,18 +605,28 @@ class TestCombInertiaCount:
                     compared += 1
         assert compared >= 1000
 
-    def test_zero_pivot_is_checked_before_division(self):
-        # A zero pivot breaks its mode there: the rows before it are counted,
-        # the rest are kept, and the mode leaves no corner entry.
+    def test_intermediate_pivots_follow_pivmin(self):
+        # A pivot below the smallest normal float is taken as -tiny (LAPACK's
+        # pivmin rule); no row short of the last breaks its mode.  Counting
+        # a broken mode's last pivot by its sign, the pivots count the
+        # eigenvalues <= 0.  Exact zero pivots: a = 0 at its first row,
+        # 1 - 1/1 at the second row of a = 1, and a first pivot of -0.0 in
+        # 3 rows, whose zero eigenvalue counts only through -tiny.  a = 5e-301
+        # and -5e-21 reach pivots 1e-300 and -1e-20 at the third row, which
+        # are used as they are: the last pivots are then -1/(2a).
         floor = 8.0 * PIVOT_FLOOR_REL
-        negative, last, broken = fdlap._continued_fraction(np.array([3.0, 0.0]), 4, floor)
-        assert negative == 0 and last[1] == np.inf and 0.0 < last[0] < 3.0
-        assert [(i, kept.tolist()) for i, kept in broken] == [(1, [0.0, 0.0, 0.0, 0.0])]
-        # 1 - 1/1 reaches an exact zero pivot at the second row of
-        # tridiag(-1, 1, -1); a -2 mode breaks nowhere.
-        negative, last, broken = fdlap._continued_fraction(np.array([1.0, -2.0]), 3, floor)
-        assert negative == 3 and last[0] == np.inf
-        assert [(i, kept.tolist()) for i, kept in broken] == [(0, [0.0, 1.0])]
+        for a, rows, broken_modes in (([3.0, 0.0], 4, []), ([1.0, -2.0], 3, []),
+                                      ([-0.0], 3, [0]), ([5e-301, -5e-21], 4, [])):
+            a = np.array(a)
+            negative, last, broken = fdlap._continued_fraction(a, rows, floor)
+            # The only eigenvalue within 0.4 of zero is an exact zero.
+            want = sum(np.count_nonzero(np.linalg.eigvalsh(_tridiagonal(x, rows)) < 1e-9)
+                       for x in a)
+            assert negative + sum(d < 0.0 for _, d in broken) == want, (a, rows)
+            assert [j for j, _ in broken] == broken_modes
+            assert np.isfinite([d for _, d in broken]).all()
+            assert np.isfinite(last).sum() == a.size - len(broken)
+        np.testing.assert_allclose(last, -0.5 / a, rtol=1e-15)
 
     def test_block_eigenvalues_match_ldl(self):
         # _block_eigenvalues reads D from the dsytrf call, with the lwork,
